@@ -6,24 +6,31 @@ updates.  A basis is kept for the target when its activation exceeds a
 threshold tau in EVERY array block; a Wiener filter built from the kept
 bases reconstructs the target per array.
 
-The iteration is deliberately structured as (component-scale step, T update,
-V update): it is the single-array special case of the three-factor tensor
-model in `spotform.ntf`, where the degenerate allocation update collapses to
-a per-component rescaling of V.  Keeping that structure makes the two
-modules agree exactly when A = 1.
+NMF is the tensor kernel of `spotform.ntf` at A = 1 with mu = 0: the
+concatenation is factorized as the (1, I, A*J) tensor, whose allocation Z
+stays 1 and whose allocation update collapses to a per-component rescaling
+of V.  This module holds no update formula of its own; it converts between
+the matrix and tensor views, thresholds the activations, and hands the mask
+to the shared Wiener gain.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from spotform.beamform import BfOutputTensor
-from spotform.gkl import EPS, gkl_divergence
+from spotform.ntf import (
+    NtfModel,
+    PropTensor,
+    build_attractors,
+    factorize,
+    masked_wiener,
+)
+from spotform.ntf import update_step as ntf_update_step
 from spotform.signal import ComplexSpectrogram
 
 
@@ -73,27 +80,12 @@ def build_concat(Y: BfOutputTensor) -> ConcatMatrix:
 def update_step(model: NmfModel, C: ConcatMatrix) -> NmfModel:
     """One composite GKL iteration: scale step, T update, V update.
 
-    Each stage is a multiplicative majorization-minimization step, so the
-    divergence never increases across the composite.
+    This is the tensor step on the (1, I, N) view with Z = 1 and mu = 0.
     """
-    c = C.values
-    T, V = model.T, model.V
-
-    # per-component scale (the collapsed allocation update)
-    ratio = c / np.maximum(T @ V.T, EPS)
-    num = np.einsum("in,ik,nk->k", ratio, T, V)
-    den = np.maximum(T.sum(axis=0) * V.sum(axis=0), EPS)
-    V = V * (num / den)[None, :]
-
-    ratio = c / np.maximum(T @ V.T, EPS)
-    T = T * (ratio @ V) / np.maximum(V.sum(axis=0), EPS)[None, :]
-    scale = np.maximum(T.sum(axis=0), EPS)
-    T = T / scale[None, :]
-    V = V * scale[None, :]
-
-    ratio = c / np.maximum(T @ V.T, EPS)
-    V = V * (ratio.T @ T) / np.maximum(T.sum(axis=0), EPS)[None, :]
-    return NmfModel(T=T, V=V, seed=model.seed, cost=model.cost)
+    step = ntf_update_step(
+        NtfModel(Z=np.ones((1, model.K)), T=model.T, V=model.V, seed=model.seed),
+        PropTensor(C.values[None]), build_attractors(1), 0.0)
+    return NmfModel(T=step.T, V=step.V, seed=model.seed, cost=model.cost)
 
 
 def fit_nmf(C: ConcatMatrix, K: int, iterations: int = 100, seed: int = 0) -> NmfModel:
@@ -102,20 +94,8 @@ def fit_nmf(C: ConcatMatrix, K: int, iterations: int = 100, seed: int = 0) -> Nm
         raise ValueError("K must be >= 1")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    I, N = C.values.shape
-    if K > min(I, N):
-        warnings.warn(f"K={K} exceeds min(I, N)={min(I, N)}; proceeding")
-    rng = np.random.default_rng(seed)
-    T = rng.uniform(0.0, 1.0, size=(I, K))
-    V = rng.uniform(0.0, 1.0, size=(N, K))
-    T /= T.sum(axis=0, keepdims=True)
-    model = NmfModel(T=T, V=V, seed=seed)
-    trace = np.empty(iterations)
-    for it in range(iterations):
-        model = update_step(model, C)
-        trace[it] = gkl_divergence(C.values, model.T @ model.V.T)
-    model.cost = trace
-    return model
+    model, trace = factorize(C.values[None], K, [0.0] * iterations, seed)
+    return NmfModel(T=model.T, V=model.V, seed=seed, cost=trace)
 
 
 def threshold_mask(model: NmfModel, n_arrays: int, n_frames: int,
@@ -132,19 +112,8 @@ def nmf_wiener(model: NmfModel, mask: FrameMask,
                Y: BfOutputTensor) -> list[ComplexSpectrogram]:
     """Per-array Wiener reconstruction from the masked model."""
     I, J, A = Y.values.shape
-    H = mask.values.astype(np.float64)  # (J, K)
-    if np.all(H == 1.0):
-        return [ComplexSpectrogram(Y.values[:, :, a].copy(), Y.config)
-                for a in range(A)]
-    T2 = model.T**2
-    out = []
-    for a in range(A):
-        Va = model.V[a * J : (a + 1) * J]  # (J, K)
-        num = T2 @ ((H * Va) ** 2).T  # sum_k (t h v)^2 per (i, j)
-        den = T2 @ (Va**2).T
-        gain = num / np.maximum(den, EPS)
-        out.append(ComplexSpectrogram(gain * Y.values[:, :, a], Y.config))
-    return out
+    U = model.V.reshape(A, J, model.K)  # array a's block of V
+    return masked_wiener(model.T, U, mask.values, Y)
 
 
 def dump_model(directory, model: NmfModel) -> None:

@@ -9,13 +9,23 @@ nearest attractor is the uniform one are kept as the target.
 
 All updates are multiplicative majorization-minimization steps, so for fixed
 regularization weight the cost never increases.
+
+The kernel works on the (A*I, J) unfolding of the data, row a*I + i.  With
+the Khatri-Rao product W = Z (.) T, shape (A*I, K), row a*I + i holding
+Z[a] * T[i], the model is the single GEMM W @ V^T.  Each factor update forms
+the model once and divides the data by it, then contracts that ratio R
+against the other two factors: R @ V reshaped to (A, I, K) and reduced
+against T (for Z) or Z (for T), and R^T @ W (for V).  A step is six GEMMs of
+A*I*J*K multiply-adds each, plus elementwise passes over the A*I*J data.
+The NMF baseline is this kernel at A = 1 with mu = 0 (see `spotform.nmf`).
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +33,8 @@ import numpy as np
 from spotform.beamform import BfOutputTensor
 from spotform.gkl import EPS, gkl_divergence, gkl_elementwise
 from spotform.signal import ComplexSpectrogram
+
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass
@@ -60,7 +72,13 @@ class NtfModel:
 
     def compose(self) -> np.ndarray:
         """The rank-K approximation sum_k z (x) t (x) v, shape (A, I, J)."""
-        return np.einsum("ak,ik,jk->aij", self.Z, self.T, self.V)
+        A, I, J = self.Z.shape[0], self.T.shape[0], self.V.shape[0]
+        return (_khatri_rao(self.Z, self.T) @ self.V.T).reshape(A, I, J)
+
+
+def _khatri_rao(Z: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Column-wise Kronecker product Z (.) T: row a*I + i is Z[a] * T[i]."""
+    return (Z[:, None, :] * T[None, :, :]).reshape(-1, Z.shape[1])
 
 
 @dataclass
@@ -114,27 +132,32 @@ def build_attractors(n_arrays: int) -> AttractorSet:
     return AttractorSet(P)
 
 
-def assign_attractors(Z: np.ndarray, attractors: AttractorSet) -> Assignment:
-    """Nearest attractor per column of Z under GKL; ties go to the target."""
-    # dist[b, k] = sum_a d(p_{a,b} | z_{a,k}); +inf where z = 0 under p > 0
-    dist = gkl_elementwise(
+def _attractor_dist(Z: np.ndarray, attractors: AttractorSet) -> np.ndarray:
+    """dist[b, k] = sum_a d(p_{a,b} | z_{a,k}); +inf where z = 0 under p > 0."""
+    return gkl_elementwise(
         attractors.P.T[:, :, None], Z[None, :, :]
     ).sum(axis=1)
-    b = np.argmin(dist, axis=0).astype(np.int64)
+
+
+def assign_attractors(Z: np.ndarray, attractors: AttractorSet) -> Assignment:
+    """Nearest attractor per column of Z under GKL; ties go to the target."""
+    b = np.argmin(_attractor_dist(Z, attractors), axis=0).astype(np.int64)
     return Assignment(b=b, h=(b == 0).astype(np.int64))
+
+
+def _penalty(Z: np.ndarray, attractors: AttractorSet, mu: float) -> float:
+    """mu times the summed distance of each column of Z to its attractor."""
+    if mu > 0:
+        return mu * float(np.sum(np.min(_attractor_dist(Z, attractors), axis=0)))
+    return 0.0
 
 
 def evaluate_cost(
     model: NtfModel, C: PropTensor, attractors: AttractorSet, mu: float
 ) -> float:
     """Data divergence plus mu times the nearest-attractor pull."""
-    cost = gkl_divergence(C.values, model.compose())
-    if mu > 0:
-        dist = gkl_elementwise(
-            attractors.P.T[:, :, None], model.Z[None, :, :]
-        ).sum(axis=1)
-        cost += mu * float(np.sum(np.min(dist, axis=0)))
-    return cost
+    return (gkl_divergence(C.values, model.compose())
+            + _penalty(model.Z, attractors, mu))
 
 
 def _check_finite(model: NtfModel, iteration: int | None) -> None:
@@ -142,6 +165,63 @@ def _check_finite(model: NtfModel, iteration: int | None) -> None:
         if not np.all(np.isfinite(M)):
             where = "" if iteration is None else f" at iteration {iteration}"
             raise FloatingPointError(f"numerical divergence{where}")
+
+
+def _ratio(c: np.ndarray, W: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """c / max(W @ V^T, EPS), formed in the buffer of the model GEMM."""
+    R = W @ V.T
+    np.maximum(R, EPS, out=R)
+    return np.divide(c, R, out=R)
+
+
+def _step(
+    model: NtfModel,
+    c: np.ndarray,
+    attractors: AttractorSet,
+    mu: float,
+    iteration: int | None,
+) -> tuple[NtfModel, float]:
+    """`update_step` on the (A*I, J) unfolding `c` of the data.
+
+    Also returns the data divergence of the incoming model, read off the
+    first ratio R = c / max(X, EPS) the step forms: the sum over c > 0 of
+    c * log R, minus sum c, plus sum max(X, EPS).  R is floored at the
+    smallest normal float inside the log, so entries with c = 0 add 0.
+    """
+    Z, T, V = model.Z, model.T, model.V
+    (A, K), I = Z.shape, T.shape[0]
+    assign = assign_attractors(Z, attractors)
+    P_hit = attractors.P[:, assign.b]  # (A, K)
+
+    ratio = _khatri_rao(Z, T) @ V.T
+    np.maximum(ratio, EPS, out=ratio)
+    model_sum = float(ratio.sum())
+    np.divide(c, ratio, out=ratio)
+    log_ratio = np.maximum(ratio, _TINY)
+    np.log(log_ratio, out=log_ratio)
+    data_cost = float(np.vdot(c, log_ratio)) - float(c.sum()) + model_sum
+    RV = (ratio @ V).reshape(A, I, K)
+    num = Z * np.einsum("aik,ik->ak", RV, T) + mu * P_hit
+    den = T.sum(axis=0) * V.sum(axis=0) + mu
+    Z = num / np.maximum(den, EPS)[None, :]
+    scale = np.maximum(Z.sum(axis=0), EPS)
+    Z = Z / scale[None, :]
+    V = V * scale[None, :]
+
+    RV = (_ratio(c, _khatri_rao(Z, T), V) @ V).reshape(A, I, K)
+    T = T * np.einsum("aik,ak->ik", RV, Z)
+    T = T / np.maximum(Z.sum(axis=0) * V.sum(axis=0), EPS)[None, :]
+    scale = np.maximum(T.sum(axis=0), EPS)
+    T = T / scale[None, :]
+    V = V * scale[None, :]
+
+    W = _khatri_rao(Z, T)
+    V = V * (_ratio(c, W, V).T @ W)
+    V = V / np.maximum(Z.sum(axis=0) * T.sum(axis=0), EPS)[None, :]
+
+    out = NtfModel(Z=Z, T=T, V=V, seed=model.seed)
+    _check_finite(out, iteration)
+    return out, data_cost
 
 
 def update_step(
@@ -157,33 +237,43 @@ def update_step(
     renormalized to the simplex afterwards with the scale folded into V,
     which leaves the composed tensor (and hence the cost) unchanged.
     """
-    c = C.values
-    Z, T, V = model.Z, model.T, model.V
-    assign = assign_attractors(Z, attractors)
-    P_hit = attractors.P[:, assign.b]  # (A, K)
+    A, I, J = C.values.shape
+    return _step(model, C.values.reshape(A * I, J), attractors, mu, iteration)[0]
 
-    ratio = c / np.maximum(np.einsum("ak,ik,jk->aij", Z, T, V), EPS)
-    num = Z * np.einsum("aij,ik,jk->ak", ratio, T, V) + mu * P_hit
-    den = T.sum(axis=0) * V.sum(axis=0) + mu
-    Z = num / np.maximum(den, EPS)[None, :]
-    scale = np.maximum(Z.sum(axis=0), EPS)
-    Z = Z / scale[None, :]
-    V = V * scale[None, :]
 
-    ratio = c / np.maximum(np.einsum("ak,ik,jk->aij", Z, T, V), EPS)
-    T = T * np.einsum("aij,ak,jk->ik", ratio, Z, V)
-    T = T / np.maximum(Z.sum(axis=0) * V.sum(axis=0), EPS)[None, :]
-    scale = np.maximum(T.sum(axis=0), EPS)
-    T = T / scale[None, :]
-    V = V * scale[None, :]
+def factorize(
+    c: np.ndarray, K: int, weights: Sequence[float], seed: int
+) -> tuple[NtfModel, np.ndarray]:
+    """The factorization kernel shared by NTF and NMF, on (A, I, J) data.
 
-    ratio = c / np.maximum(np.einsum("ak,ik,jk->aij", Z, T, V), EPS)
-    V = V * np.einsum("aij,ak,ik->jk", ratio, Z, T)
-    V = V / np.maximum(Z.sum(axis=0) * T.sum(axis=0), EPS)[None, :]
-
-    out = NtfModel(Z=Z, T=T, V=V, seed=model.seed)
-    _check_finite(out, iteration)
-    return out
+    Runs the update step once per entry of `weights`, the attractor weight of
+    that iteration, and returns the model and its cost after each iteration.
+    Entry it - 1 of the trace comes from the ratio step it forms anyway,
+    plus the penalty at the weight of iteration it - 1; one `evaluate_cost`
+    gives the last entry.  NMF calls this on its (1, I, A*J) concatenation
+    with every weight zero.
+    """
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    A, I, J = c.shape
+    if K > min(A * I, J):
+        warnings.warn(f"K={K} exceeds min(A*I, J)={min(A * I, J)}; proceeding")
+    attractors = build_attractors(A)
+    rng = np.random.default_rng(seed)
+    T = rng.uniform(0.0, 1.0, size=(I, K))
+    V = rng.uniform(0.0, 1.0, size=(J, K))
+    T /= T.sum(axis=0, keepdims=True)
+    model = NtfModel(Z=np.full((A, K), 1.0 / A), T=T, V=V, seed=seed)
+    unfolded = c.reshape(A * I, J)
+    trace = np.empty(len(weights))
+    for it, w in enumerate(weights):
+        penalty = _penalty(model.Z, attractors, weights[it - 1]) if it else 0.0
+        model, data_cost = _step(model, unfolded, attractors, w, it)
+        if it:
+            trace[it - 1] = data_cost + penalty
+    if len(weights):
+        trace[-1] = evaluate_cost(model, PropTensor(c), attractors, weights[-1])
+    return model, trace
 
 
 def fit_ntf(
@@ -195,40 +285,44 @@ def fit_ntf(
     iteration, so monotonicity holds within each constant-mu segment but not
     across the warmup boundary.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    A, I, J = C.values.shape
-    attractors = build_attractors(A)
-    rng = np.random.default_rng(seed)
-    T = rng.uniform(0.0, 1.0, size=(I, K))
-    V = rng.uniform(0.0, 1.0, size=(J, K))
-    T /= T.sum(axis=0, keepdims=True)
-    model = NtfModel(Z=np.full((A, K), 1.0 / A), T=T, V=V, seed=seed)
-    trace = np.empty(schedule.total_iterations)
-    for it in range(schedule.total_iterations):
-        w = schedule.weight_at(it)
-        model = update_step(model, C, attractors, w, iteration=it)
-        trace[it] = evaluate_cost(model, C, attractors, w)
-    return model, assign_attractors(model.Z, attractors), trace
+    weights = [schedule.weight_at(it) for it in range(schedule.total_iterations)]
+    model, trace = factorize(C.values, K, weights, seed)
+    return model, assign_attractors(model.Z, build_attractors(C.n_arrays)), trace
+
+
+def masked_wiener(
+    T: np.ndarray, U: np.ndarray, keep: np.ndarray, Y: BfOutputTensor
+) -> list[ComplexSpectrogram]:
+    """Per-array Wiener reconstruction from the kept share of each basis.
+
+    U (A, J, K) holds each array's activations: Z[a] * V for the tensor
+    model, array a's block of V for the concatenated one.  `keep`, broadcast
+    to (A, J, K), weighs every (array, frame, basis).  Array a's gain is
+    T^2 @ ((keep * U)[a]^2)^T over T^2 @ (U[a]^2)^T, one GEMM pair for all
+    arrays at once.
+    """
+    I, J, A = Y.values.shape
+    K = T.shape[1]
+    keep = np.broadcast_to(np.asarray(keep, dtype=np.float64), U.shape)
+    if np.all(keep == 1.0):
+        return [ComplexSpectrogram(Y.values[:, :, a].copy(), Y.config)
+                for a in range(A)]
+    if not np.any(keep):
+        warnings.warn("no basis kept for the target class; output is zero")
+    T2 = T**2
+    num = T2 @ ((keep * U) ** 2).reshape(A * J, K).T  # (I, A*J)
+    den = T2 @ (U**2).reshape(A * J, K).T
+    gain = (num / np.maximum(den, EPS)).reshape(I, A, J)
+    return [ComplexSpectrogram(gain[:, a] * Y.values[:, :, a], Y.config)
+            for a in range(A)]
 
 
 def ntf_wiener(
     model: NtfModel, assignment: Assignment, Y: BfOutputTensor
 ) -> list[ComplexSpectrogram]:
     """Per-array Wiener reconstruction keeping the target-class bases."""
-    I, J, A = Y.values.shape
-    h = assignment.h.astype(np.float64)
-    if np.all(h == 1.0):
-        return [ComplexSpectrogram(Y.values[:, :, a].copy(), Y.config)
-                for a in range(A)]
-    if np.all(h == 0.0):
-        warnings.warn("no basis was assigned to the target class; output is zero")
-    num = np.einsum("ak,ik,jk->aij", (model.Z * h) ** 2, model.T**2, model.V**2)
-    den = np.einsum("ak,ik,jk->aij", model.Z**2, model.T**2, model.V**2)
-    gain = num / np.maximum(den, EPS)
-    return [
-        ComplexSpectrogram(gain[a] * Y.values[:, :, a], Y.config) for a in range(A)
-    ]
+    U = model.Z[:, None, :] * model.V[None, :, :]  # (A, J, K)
+    return masked_wiener(model.T, U, assignment.h, Y)
 
 
 def dump_model(

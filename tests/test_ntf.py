@@ -8,6 +8,7 @@ exactly; that equivalence gets its own test here and again in acceptance.
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,14 @@ from numpy.testing import assert_allclose
 
 from spotform.beamform import BfOutputTensor
 from spotform.gkl import EPS
-from spotform.nmf import build_concat, fit_nmf
+from spotform.nmf import (
+    ConcatMatrix,
+    FrameMask,
+    NmfModel,
+    build_concat,
+    fit_nmf,
+    nmf_wiener,
+)
 from spotform.ntf import (
     Assignment,
     AttractorSet,
@@ -30,6 +38,7 @@ from spotform.ntf import (
     dump_model,
     evaluate_cost,
     fit_ntf,
+    masked_wiener,
     ntf_wiener,
     update_step,
 )
@@ -490,3 +499,147 @@ def test_dump_model(tmp_path):
     assert np.array_equal(np.loadtxt(tmp_path / "run" / "h.txt", dtype=int),
                           assign.h)
     assert_allclose(np.loadtxt(tmp_path / "run" / "cost.txt"), trace)
+
+
+@pytest.mark.parametrize("A", [1, 2, 3])
+@pytest.mark.parametrize("mu", [0.0, 5.0])
+def test_trace_matches_cost_of_each_iterate(A, mu):
+    """The ratio-derived trace equals evaluate_cost on update_step iterates."""
+    rng = np.random.default_rng(71 + A)
+    I, J, K, seed = 7, 9, 3, 5
+    c = rng.uniform(0.0, 2.0, size=(A, I, J))
+    c[rng.uniform(size=c.shape) < 0.2] = 0.0  # exact zeros: the c = 0 branch
+    C = PropTensor(c)
+    sched = RegularizationSchedule(mu=mu, warmup_iterations=4,
+                                   total_iterations=10)
+    model, _, trace = fit_ntf(C, K, sched, seed=seed)
+
+    init = np.random.default_rng(seed)
+    T = init.uniform(0.0, 1.0, size=(I, K))
+    V = init.uniform(0.0, 1.0, size=(J, K))
+    T /= T.sum(axis=0, keepdims=True)
+    ref = NtfModel(Z=np.full((A, K), 1.0 / A), T=T, V=V, seed=seed)
+    attr = build_attractors(A)
+    want = []
+    for it in range(sched.total_iterations):
+        w = sched.weight_at(it)
+        ref = update_step(ref, C, attr, w, iteration=it)
+        want.append(evaluate_cost(ref, C, attr, w))
+    assert_allclose(trace, want, rtol=1e-12, atol=0)
+    for got, exp in ((model.Z, ref.Z), (model.T, ref.T), (model.V, ref.V)):
+        assert np.array_equal(got, exp)
+
+
+@pytest.mark.parametrize("method", ["nmf", "ntf"])
+def test_both_methods_warn_on_large_k_and_empty_mask(method):
+    rng = np.random.default_rng(73)
+    Y = random_bf_output(rng, I=4, J=6, A=2)
+    if method == "nmf":
+        bound = 4  # min(I, A*J)
+
+        def fit(K):
+            return fit_nmf(build_concat(Y), K=K, iterations=2, seed=0)
+
+        def silence(model):
+            empty = FrameMask(np.zeros((6, model.K), dtype=np.int8))
+            return nmf_wiener(model, empty, Y)
+    else:
+        bound = 6  # min(A*I, J)
+        sched = RegularizationSchedule(mu=0.0, warmup_iterations=0,
+                                       total_iterations=2)
+
+        def fit(K):
+            return fit_ntf(build_prop_tensor(Y), K=K, schedule=sched)[0]
+
+        def silence(model):
+            empty = Assignment(b=np.ones(model.K, dtype=np.int64),
+                               h=np.zeros(model.K, dtype=np.int64))
+            return ntf_wiener(model, empty, Y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit(bound)
+    with pytest.warns(UserWarning, match="exceeds"):
+        model = fit(bound + 1)
+    with pytest.warns(UserWarning, match="no basis kept"):
+        out = silence(model)
+    for a in range(2):
+        assert np.all(out[a].values == 0)
+
+
+def brute_force_gain(T, U, keep):
+    """gain[a, i, j] = sum_k (t keep u)^2 / sum_k (t u)^2, one entry at a time."""
+    A, J, K = U.shape
+    I = T.shape[0]
+    gain = np.empty((A, I, J))
+    for a in range(A):
+        for i in range(I):
+            for j in range(J):
+                num = sum((T[i, k] * keep[a, j, k] * U[a, j, k]) ** 2
+                          for k in range(K))
+                den = sum((T[i, k] * U[a, j, k]) ** 2 for k in range(K))
+                gain[a, i, j] = num / max(den, EPS)
+    return gain
+
+
+class TestMaskedWiener:
+    """One gain serves both methods; each is checked against explicit loops."""
+
+    I, J, A, K = 5, 4, 3, 4
+
+    def _cases(self, rng):
+        I, J, A, K = self.I, self.J, self.A, self.K
+        Y = random_bf_output(rng, I=I, J=J, A=A)
+        T = rng.uniform(0.1, 1.0, size=(I, K))
+        # NMF: concatenated activations (A*J, K), a per-(frame, basis) mask
+        V = rng.uniform(0.1, 1.0, size=(A * J, K))
+        H = (rng.uniform(size=(J, K)) < 0.5).astype(np.int8)
+        yield ("nmf", Y, T, V.reshape(A, J, K),
+               np.broadcast_to(H, (A, J, K)),
+               lambda keep: nmf_wiener(NmfModel(T, V, 0),
+                                       FrameMask(keep[0].astype(np.int8)), Y))
+        # NTF: allocations times activations, a per-basis mask
+        model = random_model(rng, A=A, I=I, J=J, K=K)
+        h = np.array([1, 0, 1, 0])
+        yield ("ntf", Y, model.T, model.Z[:, None, :] * model.V[None],
+               np.broadcast_to(h, (A, J, K)),
+               lambda keep: ntf_wiener(
+                   model, Assignment(b=1 - keep[0, 0], h=keep[0, 0]), Y))
+
+    def test_matches_brute_force(self):
+        rng = np.random.default_rng(79)
+        for name, Y, T, U, keep, run in self._cases(rng):
+            gain = brute_force_gain(T, U, keep)
+            out = run(keep)
+            for a in range(self.A):
+                assert_allclose(out[a].values, gain[a] * Y.values[:, :, a],
+                                rtol=0, atol=1e-12, err_msg=name)
+            assert np.all(gain >= 0) and np.all(gain <= 1.0 + 1e-12)
+
+    def test_fractional_keep_weights_match_brute_force(self):
+        rng = np.random.default_rng(83)
+        Y = random_bf_output(rng, I=self.I, J=self.J, A=self.A)
+        T = rng.uniform(0.1, 1.0, size=(self.I, self.K))
+        U = rng.uniform(0.0, 1.0, size=(self.A, self.J, self.K))
+        keep = rng.uniform(0.0, 1.0, size=U.shape)
+        out = masked_wiener(T, U, keep, Y)
+        gain = brute_force_gain(T, U, keep)
+        for a in range(self.A):
+            assert_allclose(out[a].values, gain[a] * Y.values[:, :, a],
+                            rtol=0, atol=1e-12)
+        assert np.all(gain >= 0) and np.all(gain <= 1.0 + 1e-12)
+
+    def test_all_kept_passes_a_copy_through(self):
+        rng = np.random.default_rng(89)
+        for name, Y, T, U, keep, run in self._cases(rng):
+            out = run(np.ones_like(keep))
+            for a in range(self.A):
+                assert np.array_equal(out[a].values, Y.values[:, :, a]), name
+                assert not np.shares_memory(out[a].values, Y.values), name
+
+    def test_none_kept_warns_and_silences(self):
+        rng = np.random.default_rng(97)
+        for name, Y, T, U, keep, run in self._cases(rng):
+            with pytest.warns(UserWarning, match="no basis kept"):
+                out = run(np.zeros_like(keep))
+            for a in range(self.A):
+                assert np.all(out[a].values == 0), name
