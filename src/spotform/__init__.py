@@ -16,79 +16,18 @@ nmf       Baseline: NMF on the concatenated spectrograms + threshold mask.
 ntf       Proposed: NTF with attractor-regularized array factors.
 evaluate  SI-SDR and filtered-reference SDR metrics.
 harness   End-to-end experiment runner and CSV/plot emission.
+cli       Command-line front end (`spotform`).
+
+The package exports the entry points below; everything else is imported
+from its module.
 """
 
-from spotform.beamform import (
-    BfOutputTensor,
-    NoiseCovarianceSet,
-    SteeringSet,
-    delay_and_sum,
-    mvdr,
-    mvdr_weights,
-    oracle_quantities,
-)
-from spotform.evaluate import (
-    AggregateStats,
-    SdrReport,
-    aggregate,
-    filtered_sdr,
-    si_sdr,
-)
 from spotform.harness import (
     ExperimentConfig,
-    PipelineState,
-    ResultRow,
-    emit_plots,
     prepare_pipeline,
     run_experiment,
     run_single,
+    separate,
 )
-from spotform.nmf import (
-    ConcatMatrix,
-    FrameMask,
-    NmfModel,
-    build_concat,
-    fit_nmf,
-    nmf_wiener,
-    threshold_mask,
-)
-from spotform.ntf import (
-    Assignment,
-    AttractorSet,
-    NtfModel,
-    PropTensor,
-    RegularizationSchedule,
-    assign_attractors,
-    build_attractors,
-    build_prop_tensor,
-    evaluate_cost,
-    fit_ntf,
-    ntf_wiener,
-)
-from spotform.roomsim import (
-    MicArray,
-    ObservationTensor,
-    Rir,
-    RirSet,
-    Scene,
-    SourcePlacement,
-    default_scene,
-    load_rirs,
-    render_observations,
-    save_rirs,
-    simulate_rirs,
-)
-from spotform.signal import (
-    ComplexSpectrogram,
-    StftConfig,
-    Waveform,
-    istft,
-    normalize_energy,
-    read_wav,
-    resample,
-    stft,
-    write_wav,
-)
-from spotform.synth import default_voices, harmonic_voice, write_demo_sources
 
 __version__ = "0.1.0"

@@ -128,10 +128,11 @@ def mvdr(
 
 
 def delay_and_sum(estimates: list[Waveform], max_lag: int | None = None) -> Waveform:
-    """Align estimates to the first one by cross-correlation, then average.
+    """Align estimates by cross-correlation, then average.
 
-    All-zero estimates cannot be aligned; they stay in the average as zeros
-    and a warning is emitted.
+    The first estimate that is not all zero is the anchor.  All-zero
+    estimates cannot be aligned; they stay in the average as zeros and a
+    warning is emitted for each.
     """
     if not estimates:
         raise ValueError("delay_and_sum needs at least one estimate")
@@ -139,12 +140,15 @@ def delay_and_sum(estimates: list[Waveform], max_lag: int | None = None) -> Wave
     if any(e.sample_rate != rate for e in estimates):
         raise ValueError("estimates must share one sample rate")
     n = max(len(e) for e in estimates)
-    ref = np.pad(estimates[0].samples, (0, n - len(estimates[0])))
+    padded = [np.pad(e.samples, (0, n - len(e))) for e in estimates]
+    silent = [not np.any(x) for x in padded]
+    anchor = next((i for i, s in enumerate(silent) if not s), 0)
+    ref = padded[anchor]
     acc = ref.copy()
-    for est in estimates[1:]:
-        x = np.pad(est.samples, (0, n - len(est)))
-        if not np.any(x):
+    for i, x in enumerate(padded):
+        if silent[i]:
             warnings.warn("all-zero estimate contributes nothing to the fusion")
+        if i == anchor or silent[i]:
             continue
         corr = scipy.signal.correlate(x, ref, mode="full")
         lags = scipy.signal.correlation_lags(n, n, mode="full")
@@ -159,25 +163,3 @@ def delay_and_sum(estimates: list[Waveform], max_lag: int | None = None) -> Wave
             shifted[-lag:] = x[: n + lag]
         acc += shifted
     return Waveform(acc / len(estimates), rate)
-
-
-def dump_weights(path, weights: np.ndarray) -> None:
-    """Write weights as raw little-endian float64, re/im interleaved.
-
-    Layout: for a in arrays, for i in bins, for m in mics: re(w), im(w).
-    A 3-int64 header (A, I, M) precedes the data.
-    """
-    w = np.ascontiguousarray(weights, dtype=np.complex128)
-    with open(path, "wb") as f:
-        np.asarray(w.shape, dtype="<i8").tofile(f)
-        inter = np.empty(w.size * 2, dtype="<f8")
-        inter[0::2] = w.real.ravel()
-        inter[1::2] = w.imag.ravel()
-        inter.tofile(f)
-
-
-def load_weights(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        shape = tuple(np.fromfile(f, dtype="<i8", count=3))
-        inter = np.fromfile(f, dtype="<f8")
-    return (inter[0::2] + 1j * inter[1::2]).reshape(shape)

@@ -4,7 +4,9 @@ Subcommands mirror the pipeline stages:
 
   simulate   scene -> RIRs and rendered microphone observations
   run        full sweep from a JSON experiment config
-  spotform   one method applied to already-beamformed per-array WAVs
+  spotform   one method applied to already-beamformed per-array WAVs: the
+             WAVs are cut to the shortest, analysed with the default STFT
+             and handed to `harness.separate`, the sweep's own path
   eval       score an estimate WAV against a reference WAV
 """
 
@@ -18,18 +20,16 @@ from pathlib import Path
 
 import numpy as np
 
-from spotform.beamform import BfOutputTensor, delay_and_sum
+from spotform.beamform import BfOutputTensor
 from spotform.evaluate import filtered_sdr, si_sdr
-from spotform.harness import ExperimentConfig, load_sources, run_experiment
-from spotform.nmf import build_concat, fit_nmf, nmf_wiener, threshold_mask
-from spotform.ntf import (
-    RegularizationSchedule,
-    build_prop_tensor,
-    fit_ntf,
-    ntf_wiener,
+from spotform.harness import (
+    ExperimentConfig,
+    load_sources,
+    run_experiment,
+    separate,
 )
 from spotform.roomsim import default_scene, render_observations, save_rirs, simulate_rirs
-from spotform.signal import StftConfig, Waveform, istft, read_wav, stft, write_wav
+from spotform.signal import StftConfig, Waveform, read_wav, stft, write_wav
 from spotform.synth import write_demo_sources
 
 
@@ -98,22 +98,13 @@ def _cmd_spotform(args) -> int:
     cfg = StftConfig(sample_rate=rate)
     specs = [stft(Waveform(w.samples[:n], rate), cfg) for w in waves]
     Y = BfOutputTensor(np.stack([s.values for s in specs], axis=2), cfg, rate, n)
-    if args.method == "nmf":
-        model = fit_nmf(build_concat(Y), args.k, args.iterations, args.seed)
-        mask = threshold_mask(model, len(waves), Y.values.shape[1], args.hyper)
-        out_specs = nmf_wiener(model, mask, Y)
-    else:
-        schedule = RegularizationSchedule(args.hyper, args.warmup,
-                                          args.iterations)
-        model, assignment, _ = fit_ntf(build_prop_tensor(Y), args.k, schedule,
-                                       args.seed)
-        out_specs = ntf_wiener(model, assignment, Y)
+    estimates, fused = separate(Y, args.method, args.k, args.hyper, args.seed,
+                                args.iterations, args.warmup)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    estimates = [istft(s, cfg, n) for s in out_specs]
     for a, w in enumerate(estimates):
         write_wav(out / f"estimate_array{a}.wav", w)
-    write_wav(out / "estimate_fused.wav", delay_and_sum(estimates))
+    write_wav(out / "estimate_fused.wav", fused)
     print(f"wrote {len(estimates) + 1} WAVs to {out}")
     return 0
 

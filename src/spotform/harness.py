@@ -6,10 +6,14 @@ seeds.  The pipeline per run is simulate -> beamform -> factorize -> mask ->
 reconstruct -> fuse -> score; the simulation and beamforming stages are
 shared across the sweep because only the factorization stage is seeded.
 
-Seeding: each run draws its stream seed as the first 8 bytes of
-sha256("<master>|<method>|<K>|<hyper>|<seed index>"), so any single row can
-be reproduced in isolation.  Output CSVs are byte-deterministic given the
-config, except the runtime_ms column and rows failed by wall-clock timeout.
+The seed-dependent stages live in `separate`, which the `spotform` command
+also runs on its own beamformer WAVs.
+
+Seeding: each run draws its stream seed as the first 8 bytes, little-endian,
+of sha256(f"{master}|{method}|{K}|{float(hyper)!r}|{seed index}"), so any
+single row can be reproduced in isolation with `run_single`.  Output CSVs
+are byte-deterministic given the config, except the runtime_ms column and
+rows failed by wall-clock timeout.
 """
 
 from __future__ import annotations
@@ -176,8 +180,12 @@ class PipelineState:
 
 def derive_seed(master_seed: int, method: str, k: int, hyper: float,
                 seed_index: int) -> int:
-    """Stable per-run stream seed; documented in the run manifest."""
-    key = f"{master_seed}|{method}|{k}|{hyper!r}|{seed_index}".encode()
+    """Stable per-run stream seed; documented in the run manifest.
+
+    The hyperparameter enters as repr(float(hyper)), so 100, 100.0 and
+    np.float64(100.0) all give the seed of the sweep row.
+    """
+    key = f"{master_seed}|{method}|{k}|{float(hyper)!r}|{seed_index}".encode()
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "little")
 
 
@@ -213,43 +221,44 @@ def prepare_pipeline(cfg: ExperimentConfig) -> PipelineState:
     return PipelineState(rirs, Y, bf_waves, references)
 
 
-def _reconstruct(cfg: ExperimentConfig, state: PipelineState,
-                 specs: list[ComplexSpectrogram]) -> tuple[list[Waveform], Waveform]:
-    n = state.references[0].samples.shape[0]
-    waves = [istft(s, cfg.stft, n) for s in specs]
-    fused = delay_and_sum(waves)
-    return waves, fused
+def separate(Y: BfOutputTensor, method: str, k: int, hyper: float, seed: int,
+             iterations: int, warmup: int) -> tuple[list[Waveform], Waveform]:
+    """Extract the target from beamformer outputs; returns (per-array, fused).
+
+    Fits the method's model with stream seed `seed`, masks the target bases
+    (threshold tau for nmf, the target class for ntf under weight mu),
+    applies the masked Wiener gain to every array, resynthesizes with
+    `Y.config` at length `Y.n_samples`, and fuses by delay-and-sum.  The sweep
+    and the `spotform` command both run this.
+    """
+    if method == "nmf":
+        model = fit_nmf(build_concat(Y), k, iterations, seed)
+        mask = threshold_mask(model, Y.n_arrays, Y.values.shape[1], hyper)
+        specs = nmf_wiener(model, mask, Y)
+    elif method == "ntf":
+        schedule = RegularizationSchedule(hyper, warmup, iterations)
+        model, assignment, _ = fit_ntf(build_prop_tensor(Y), k, schedule, seed)
+        specs = ntf_wiener(model, assignment, Y)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    waves = [istft(s, Y.config, Y.n_samples) for s in specs]
+    return waves, delay_and_sum(waves)
 
 
 def _execute(cfg: ExperimentConfig, state: PipelineState, method: str,
              k: int, hyper: float, seed_index: int
              ) -> tuple[list[Waveform], Waveform, Waveform]:
     """Run one method; returns (per-array estimates, fused output, reference)."""
-    Y = state.bf_tensor
-    A = cfg.scene.n_arrays
-    J = Y.values.shape[1]
-    stream_seed = derive_seed(cfg.master_seed, method, k, hyper, seed_index)
     if method == "bf-only":
         array = int(hyper)
-        if not 0 <= array < A:
+        if not 0 <= array < cfg.scene.n_arrays:
             raise ValueError(f"bf-only hyper must be an array index, got {hyper}")
         wave = state.bf_waves[array]
         return [wave], wave, state.references[array]
-    if method == "nmf":
-        model = fit_nmf(build_concat(Y), k, cfg.iterations, stream_seed)
-        mask = threshold_mask(model, A, J, hyper)
-        specs = nmf_wiener(model, mask, Y)
-        waves, fused = _reconstruct(cfg, state, specs)
-        return waves, fused, state.references[0]
-    if method == "ntf":
-        schedule = RegularizationSchedule(hyper, cfg.warmup_iterations,
-                                          cfg.iterations)
-        model, assignment, _ = fit_ntf(build_prop_tensor(Y), k, schedule,
-                                       stream_seed)
-        specs = ntf_wiener(model, assignment, Y)
-        waves, fused = _reconstruct(cfg, state, specs)
-        return waves, fused, state.references[0]
-    raise ValueError(f"unknown method {method!r}")
+    stream_seed = derive_seed(cfg.master_seed, method, k, hyper, seed_index)
+    waves, fused = separate(state.bf_tensor, method, k, hyper, stream_seed,
+                            cfg.iterations, cfg.warmup_iterations)
+    return waves, fused, state.references[0]
 
 
 def _score(cfg: ExperimentConfig, fused: Waveform,

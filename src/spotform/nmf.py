@@ -16,9 +16,7 @@ to the shared Wiener gain.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -114,16 +112,3 @@ def nmf_wiener(model: NmfModel, mask: FrameMask,
     I, J, A = Y.values.shape
     U = model.V.reshape(A, J, model.K)  # array a's block of V
     return masked_wiener(model.T, U, mask.values, Y)
-
-
-def dump_model(directory, model: NmfModel) -> None:
-    """Write T and V as text matrices with a small JSON header file."""
-    d = Path(directory)
-    d.mkdir(parents=True, exist_ok=True)
-    header = {"I": model.T.shape[0], "N": model.V.shape[0],
-              "K": model.K, "seed": model.seed}
-    (d / "header.json").write_text(json.dumps(header, indent=1))
-    np.savetxt(d / "T.txt", model.T, header=json.dumps(header))
-    np.savetxt(d / "V.txt", model.V, header=json.dumps(header))
-    if model.cost.size:
-        np.savetxt(d / "cost.txt", model.cost)

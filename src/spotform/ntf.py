@@ -22,11 +22,9 @@ The NMF baseline is this kernel at A = 1 with mu = 0 (see `spotform.nmf`).
 
 from __future__ import annotations
 
-import json
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -323,29 +321,3 @@ def ntf_wiener(
     """Per-array Wiener reconstruction keeping the target-class bases."""
     U = model.Z[:, None, :] * model.V[None, :, :]  # (A, J, K)
     return masked_wiener(model.T, U, assignment.h, Y)
-
-
-def dump_model(
-    directory,
-    model: NtfModel,
-    assignment: Assignment,
-    cost: np.ndarray,
-    schedule: RegularizationSchedule,
-) -> None:
-    """Write factors, assignments, and the cost trace for inspection."""
-    d = Path(directory)
-    d.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "K": model.K,
-        "mu": schedule.mu,
-        "warmup_iterations": schedule.warmup_iterations,
-        "total_iterations": schedule.total_iterations,
-        "seed": model.seed,
-    }
-    (d / "manifest.json").write_text(json.dumps(manifest, indent=1))
-    np.savetxt(d / "Z.txt", model.Z)
-    np.savetxt(d / "T.txt", model.T)
-    np.savetxt(d / "V.txt", model.V)
-    np.savetxt(d / "b.txt", assignment.b, fmt="%d")
-    np.savetxt(d / "h.txt", assignment.h, fmt="%d")
-    np.savetxt(d / "cost.txt", cost)

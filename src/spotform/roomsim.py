@@ -164,12 +164,6 @@ def default_scene(n_arrays: int = 2, t60: float = 0.3,
 
 
 @dataclass
-class Rir:
-    taps: np.ndarray
-    sample_rate: int
-
-
-@dataclass
 class RirSet:
     """Impulse responses for every (array, mic, source) triple.
 
@@ -180,9 +174,6 @@ class RirSet:
     sample_rate: int
     scene: Scene
     reflection: float = 0.0
-
-    def get(self, array: int, mic: int, source: int) -> Rir:
-        return Rir(self.taps[array, mic, source], self.sample_rate)
 
     @property
     def n_taps(self) -> int:

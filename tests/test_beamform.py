@@ -16,8 +16,6 @@ from spotform.beamform import (
     NoiseCovarianceSet,
     SteeringSet,
     delay_and_sum,
-    dump_weights,
-    load_weights,
     mvdr,
     mvdr_weights,
     oracle_quantities,
@@ -270,6 +268,29 @@ class TestDelayAndSum:
             out = delay_and_sum([Waveform(x, FS), Waveform(np.zeros(100), FS)])
         assert_allclose(out.samples, 0.5 * x)
 
+    def test_silent_first_estimate_anchors_on_next(self):
+        # the silent estimate has no correlation peak to align to; fusion
+        # anchors on the first estimate with signal and keeps it whole
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal(4000)
+        y = np.zeros(4000)
+        y[7:] = x[:-7]
+        silent = Waveform(np.zeros(4000), FS)
+        with pytest.warns(UserWarning, match="all-zero estimate"):
+            out = delay_and_sum([silent, Waveform(x, FS), Waveform(y, FS)],
+                                max_lag=64)
+        assert np.max(np.abs(out.samples[10:-10] - 2 / 3 * x[10:-10])) < 1e-10
+        with pytest.warns(UserWarning, match="all-zero estimate"):
+            moved = delay_and_sum([Waveform(x, FS), silent, Waveform(y, FS)],
+                                  max_lag=64)
+        np.testing.assert_array_equal(out.samples, moved.samples)
+
+    def test_all_silent_estimates_fuse_to_zero(self):
+        silent = Waveform(np.zeros(50), FS)
+        with pytest.warns(UserWarning, match="all-zero estimate"):
+            out = delay_and_sum([silent, silent])
+        assert not np.any(out.samples)
+
     def test_permutation_invariant_behind_anchor(self):
         rng = np.random.default_rng(4)
         waves = [Waveform(rng.standard_normal(500), FS) for _ in range(3)]
@@ -284,18 +305,3 @@ class TestDelayAndSum:
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             delay_and_sum([])
-
-
-class TestWeightsDump:
-    def test_roundtrip_and_layout(self, tmp_path):
-        rng = np.random.default_rng(5)
-        w = rng.standard_normal((2, 4, 3)) + 1j * rng.standard_normal((2, 4, 3))
-        p = tmp_path / "weights.bin"
-        dump_weights(p, w)
-        assert_allclose(load_weights(p), w)
-        raw = np.fromfile(p, dtype="<f8")
-        # header (3 int64 reinterpreted) + interleaved payload
-        assert raw.size == 3 + 2 * w.size
-        assert raw[3] == w[0, 0, 0].real and raw[4] == w[0, 0, 0].imag
-        # last record is w[-1, -1, -1] (a-major, then i, then m)
-        assert raw[-2] == w[-1, -1, -1].real and raw[-1] == w[-1, -1, -1].imag

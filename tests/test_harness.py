@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from spotform.beamform import delay_and_sum
+from spotform.beamform import BfOutputTensor, delay_and_sum
 from spotform.cli import main
 from spotform.evaluate import filtered_sdr, si_sdr
 from spotform.harness import (
@@ -25,9 +25,10 @@ from spotform.harness import (
     prepare_pipeline,
     run_experiment,
     run_single,
+    separate,
 )
 from spotform.roomsim import default_scene
-from spotform.signal import read_wav
+from spotform.signal import StftConfig, Waveform, read_wav, stft
 from spotform.synth import write_demo_sources
 
 
@@ -117,6 +118,15 @@ class TestSeeding:
         }
         assert len(seeds) == 32
 
+    def test_hyper_keyed_by_float_value(self):
+        # grid entries may be numpy scalars and CLI users may type integers;
+        # both must name the same stream as the sweep's Python-float task
+        tau = np.geomspace(1e-4, 1.0, 12)[0]
+        assert derive_seed(0, "nmf", 30, tau, 2) == derive_seed(
+            0, "nmf", 30, float(tau), 2)
+        assert derive_seed(0, "ntf", 30, 100, 2) == derive_seed(
+            0, "ntf", 30, 100.0, 2)
+
 
 class TestEnumerateTasks:
     def test_counts(self, small_cfg):
@@ -157,6 +167,29 @@ class TestRunSingle:
         r1, _, _ = _run_task(small_cfg, state, ("bf-only", 0, 1.0, 1))
         assert r0.sdr_filtered_db == r1.sdr_filtered_db
         assert r0.sdr_si_db == r1.sdr_si_db
+
+    @pytest.mark.parametrize("hyper", [np.float64(0.05), 1])
+    def test_reproduces_sweep_row(self, small_cfg, state, hyper):
+        # the sweep's tasks carry Python floats (see enumerate_tasks)
+        want, _, _ = _run_task(small_cfg, state, ("nmf", 4, float(hyper), 1))
+        _, row = run_single(small_cfg, "nmf", 4, hyper, 1, state=state)
+        assert row.status == want.status == "ok"
+        assert row.sdr_filtered_db == want.sdr_filtered_db
+        assert row.sdr_si_db == want.sdr_si_db
+
+    @pytest.mark.parametrize("method, hyper", [("nmf", 0.05), ("ntf", 10.0)])
+    def test_sweep_task_runs_separate(self, small_cfg, state, method, hyper):
+        row, waves, fused = _run_task(small_cfg, state, (method, 4, hyper, 1),
+                                      keep_waves=True)
+        assert row.status == "ok"
+        seed = derive_seed(small_cfg.master_seed, method, 4, hyper, 1)
+        want_waves, want_fused = separate(
+            state.bf_tensor, method, 4, hyper, seed, small_cfg.iterations,
+            small_cfg.warmup_iterations)
+        assert len(waves) == len(want_waves) == small_cfg.scene.n_arrays
+        for got, want in zip(waves, want_waves):
+            np.testing.assert_array_equal(got.samples, want.samples)
+        np.testing.assert_array_equal(fused.samples, want_fused.samples)
 
     def test_bad_array_index_marks_row_failed(self, small_cfg, state):
         paths, row = run_single(small_cfg, "bf-only", 0, 9.0, 0, state=state)
@@ -278,6 +311,33 @@ class TestCli:
         names = sorted(p.name for p in (tmp_path / "spot").iterdir())
         assert names == ["estimate_array0.wav", "estimate_array1.wav",
                          "estimate_fused.wav"]
+
+    # the ntf case is sized so that the mask keeps only some bases
+    @pytest.mark.parametrize("method, k, hyper, iterations, warmup",
+                             [("nmf", 3, 0.01, 8, 4), ("ntf", 6, 1000.0, 20, 10)])
+    def test_spotform_writes_separate_output(self, sources, tmp_path, capsys,
+                                             method, k, hyper, iterations,
+                                             warmup):
+        code = main(["spotform", *sources, "--method", method, "--k", str(k),
+                     "--hyper", str(hyper), "--seed", "7",
+                     "--iterations", str(iterations), "--warmup", str(warmup),
+                     "--out", str(tmp_path / "spot")])
+        assert code == 0
+        names = sorted(p.name for p in (tmp_path / "spot").iterdir())
+        assert names == ["estimate_array0.wav", "estimate_array1.wav",
+                         "estimate_array2.wav", "estimate_fused.wav"]
+        waves = [read_wav(p) for p in sources]
+        n = min(len(w) for w in waves)
+        cfg = StftConfig(sample_rate=waves[0].sample_rate)
+        specs = [stft(Waveform(w.samples[:n], w.sample_rate), cfg).values
+                 for w in waves]
+        Y = BfOutputTensor(np.stack(specs, axis=2), cfg, cfg.sample_rate, n)
+        want, want_fused = separate(Y, method, k, hyper, 7, iterations, warmup)
+        got = [read_wav(tmp_path / "spot" / name) for name in names]
+        for g, w in zip(got, [*want, want_fused], strict=True):
+            # the CLI writes float32 WAVs
+            np.testing.assert_array_equal(g.samples,
+                                          w.samples.astype(np.float32))
 
     def test_run_from_config_file(self, small_cfg, tmp_path, capsys):
         from dataclasses import replace

@@ -17,7 +17,6 @@ from spotform.nmf import (
     FrameMask,
     NmfModel,
     build_concat,
-    dump_model,
     fit_nmf,
     nmf_wiener,
     threshold_mask,
@@ -235,16 +234,3 @@ class TestNmfWiener:
             nz = np.abs(Y.values[:, :, a]) > 0
             gains = np.abs(out[a].values[nz]) / np.abs(Y.values[:, :, a][nz])
             assert np.all(gains <= 1.0 + 1e-12)
-
-
-def test_dump_model(tmp_path):
-    rng = np.random.default_rng(14)
-    C = ConcatMatrix(rng.uniform(0, 1, (5, 6)), 2, 3)
-    model = fit_nmf(C, K=2, iterations=5, seed=4)
-    dump_model(tmp_path / "m", model)
-    T_back = np.loadtxt(tmp_path / "m" / "T.txt")
-    assert_allclose(T_back, model.T, atol=1e-12)
-    import json
-
-    header = json.loads((tmp_path / "m" / "header.json").read_text())
-    assert header["K"] == 2 and header["seed"] == 4

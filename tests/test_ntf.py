@@ -6,7 +6,6 @@ element.  The single-array special case must reproduce the NMF baseline
 exactly; that equivalence gets its own test here and again in acceptance.
 """
 
-import json
 import math
 import warnings
 
@@ -35,7 +34,6 @@ from spotform.ntf import (
     assign_attractors,
     build_attractors,
     build_prop_tensor,
-    dump_model,
     evaluate_cost,
     fit_ntf,
     masked_wiener,
@@ -479,26 +477,6 @@ def test_update_never_increases_cost(A, I, J, K, mu, seed):
     before = evaluate_cost(model, C, attr, mu)
     after = evaluate_cost(update_step(model, C, attr, mu), C, attr, mu)
     assert after <= before + 1e-9 * max(1.0, abs(before))
-
-
-def test_dump_model(tmp_path):
-    rng = np.random.default_rng(67)
-    C = PropTensor(rng.uniform(0.0, 1.0, size=(2, 6, 5)))
-    sched = RegularizationSchedule(mu=10.0, warmup_iterations=2,
-                                   total_iterations=5)
-    model, assign, trace = fit_ntf(C, K=3, schedule=sched, seed=1)
-    dump_model(tmp_path / "run", model, assign, trace, sched)
-    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
-    assert manifest == {"K": 3, "mu": 10.0, "warmup_iterations": 2,
-                        "total_iterations": 5, "seed": 1}
-    assert_allclose(np.loadtxt(tmp_path / "run" / "Z.txt"), model.Z)
-    assert_allclose(np.loadtxt(tmp_path / "run" / "T.txt"), model.T)
-    assert_allclose(np.loadtxt(tmp_path / "run" / "V.txt"), model.V)
-    assert np.array_equal(np.loadtxt(tmp_path / "run" / "b.txt", dtype=int),
-                          assign.b)
-    assert np.array_equal(np.loadtxt(tmp_path / "run" / "h.txt", dtype=int),
-                          assign.h)
-    assert_allclose(np.loadtxt(tmp_path / "run" / "cost.txt"), trace)
 
 
 @pytest.mark.parametrize("A", [1, 2, 3])

@@ -14,7 +14,6 @@ from numpy.testing import assert_allclose
 
 from spotform.roomsim import (
     MicArray,
-    Rir,
     Scene,
     SourcePlacement,
     default_scene,
@@ -279,12 +278,6 @@ class TestPersistence:
     def test_scene_dict_roundtrip(self):
         sc = default_scene(3, t60=0.42)
         assert Scene.from_dict(sc.to_dict()) == sc
-
-    def test_get_accessor(self):
-        rs = simulate_rirs(single_pair_scene(60))
-        r = rs.get(0, 0, 0)
-        assert isinstance(r, Rir)
-        assert_allclose(r.taps, rs.taps[0, 0, 0])
 
 
 @given(
