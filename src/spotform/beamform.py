@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
+import scipy.fft
 
 from spotform.roomsim import ObservationTensor, RirSet, Scene
 from spotform.signal import StftConfig, Waveform, frame_count, stft
@@ -127,6 +127,19 @@ def mvdr(
     return BfOutputTensor(Y, cfg, X.sample_rate, L)
 
 
+def _xcorr_full(x: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Full cross-correlation of equal-length real signals, lags -(n-1)..n-1.
+
+    The FFT convolution of x with ref reversed, the same arithmetic as
+    `scipy.signal.correlate(x, ref, mode="full")` when that picks its FFT
+    method, without importing scipy.signal.
+    """
+    m = 2 * len(x) - 1
+    size = scipy.fft.next_fast_len(m, real=True)
+    spec = scipy.fft.rfft(x, size) * scipy.fft.rfft(ref[::-1], size)
+    return scipy.fft.irfft(spec, size)[:m]
+
+
 def delay_and_sum(estimates: list[Waveform], max_lag: int | None = None) -> Waveform:
     """Align estimates by cross-correlation, then average.
 
@@ -150,8 +163,8 @@ def delay_and_sum(estimates: list[Waveform], max_lag: int | None = None) -> Wave
             warnings.warn("all-zero estimate contributes nothing to the fusion")
         if i == anchor or silent[i]:
             continue
-        corr = scipy.signal.correlate(x, ref, mode="full")
-        lags = scipy.signal.correlation_lags(n, n, mode="full")
+        corr = _xcorr_full(x, ref)
+        lags = np.arange(-(n - 1), n)
         if max_lag is not None:
             keep = np.abs(lags) <= max_lag
             corr, lags = corr[keep], lags[keep]

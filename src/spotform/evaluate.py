@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.signal
 
 from spotform.signal import Waveform
 
@@ -93,6 +92,8 @@ def filtered_sdr(estimate, reference, filter_taps: int = 512) -> float:
     """
     if filter_taps < 1:
         raise ValueError("filter_taps must be >= 1")
+    import scipy.signal  # lazy: about 1 s to import, unused by `spotform`
+
     e, s = _common_part(estimate, reference)
     n = s.shape[0]
     auto = scipy.signal.correlate(s, s, mode="full")[n - 1: n - 1 + filter_taps]

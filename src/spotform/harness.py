@@ -7,19 +7,25 @@ reconstruct -> fuse -> score; the simulation and beamforming stages are
 shared across the sweep because only the factorization stage is seeded.
 
 The seed-dependent stages live in `separate`, which the `spotform` command
-also runs on its own beamformer WAVs.
+also runs on its own beamformer WAVs.  It is a fit followed by a per-hyper
+extract step, and the sweep runs the two apart: tau only thresholds the NMF
+activations after the fit, so every tau of one (K, seed index) is extracted
+from one NMF fit.  mu enters the NTF fit, so each ntf row fits its own.
 
 Seeding: each run draws its stream seed as the first 8 bytes, little-endian,
-of sha256(f"{master}|{method}|{K}|{float(hyper)!r}|{seed index}"), so any
-single row can be reproduced in isolation with `run_single`.  Output CSVs
-are byte-deterministic given the config, except the runtime_ms column and
-rows failed by wall-clock timeout.
+of sha256 over a key that names exactly what the fit depends on:
+f"{master}|nmf|{K}|{seed index}" for nmf and
+f"{master}|ntf|{K}|{float(mu)!r}|{seed index}" for ntf.  Any single row can
+be reproduced in isolation with `run_single`.  Output CSVs are
+byte-deterministic given the config, except the runtime_ms column and rows
+failed by wall-clock timeout.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import time
 import warnings
@@ -51,7 +57,7 @@ from spotform.signal import (
 )
 
 METHODS = ("bf-only", "nmf", "ntf")
-RESULTS_SCHEMA = "spotform/results/v1"
+RESULTS_SCHEMA = "spotform/results/v2"
 SUMMARY_SCHEMA = "spotform/summary/v1"
 PLOT_SCHEMA = "spotform/plot/v1"
 
@@ -178,14 +184,22 @@ class PipelineState:
     references: list[Waveform]
 
 
+def _fit_key(method: str, k: int, hyper: float, seed_index: int) -> str:
+    """What a row's fit depends on besides the config.
+
+    tau acts only after the NMF fit, so nmf rows leave it out; mu shapes the
+    NTF fit and enters as repr(float(mu)), so 100, 100.0 and np.float64(100.0)
+    name the same fit.  Rows with equal keys share one fit.
+    """
+    if method == "nmf":
+        return f"nmf|{k}|{seed_index}"
+    return f"{method}|{k}|{float(hyper)!r}|{seed_index}"
+
+
 def derive_seed(master_seed: int, method: str, k: int, hyper: float,
                 seed_index: int) -> int:
-    """Stable per-run stream seed; documented in the run manifest.
-
-    The hyperparameter enters as repr(float(hyper)), so 100, 100.0 and
-    np.float64(100.0) all give the seed of the sweep row.
-    """
-    key = f"{master_seed}|{method}|{k}|{float(hyper)!r}|{seed_index}".encode()
+    """Stable per-fit stream seed; documented in the run manifest."""
+    key = f"{master_seed}|{_fit_key(method, k, hyper, seed_index)}".encode()
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "little")
 
 
@@ -228,36 +242,60 @@ def separate(Y: BfOutputTensor, method: str, k: int, hyper: float, seed: int,
     Fits the method's model with stream seed `seed`, masks the target bases
     (threshold tau for nmf, the target class for ntf under weight mu),
     applies the masked Wiener gain to every array, resynthesizes with
-    `Y.config` at length `Y.n_samples`, and fuses by delay-and-sum.  The sweep
-    and the `spotform` command both run this.
+    `Y.config` at length `Y.n_samples`, and fuses by delay-and-sum.  The
+    `spotform` command runs this; the sweep runs its two stages, `_fit` and
+    `_extract`, so that rows sharing a fit share it.
     """
+    fit = _fit(Y, method, k, hyper, seed, iterations, warmup)
+    return _extract(Y, method, fit, hyper)
+
+
+def _fit(Y: BfOutputTensor, method: str, k: int, hyper: float, seed: int,
+         iterations: int, warmup: int):
+    """The seeded stage of `separate`: the NMF model, or the NTF model and
+    its class assignment.  tau is not used; mu weights the NTF penalty."""
     if method == "nmf":
-        model = fit_nmf(build_concat(Y), k, iterations, seed)
-        mask = threshold_mask(model, Y.n_arrays, Y.values.shape[1], hyper)
-        specs = nmf_wiener(model, mask, Y)
-    elif method == "ntf":
+        return fit_nmf(build_concat(Y), k, iterations, seed)
+    if method == "ntf":
         schedule = RegularizationSchedule(hyper, warmup, iterations)
         model, assignment, _ = fit_ntf(build_prop_tensor(Y), k, schedule, seed)
-        specs = ntf_wiener(model, assignment, Y)
+        return model, assignment
+    raise ValueError(f"unknown method {method!r}")
+
+
+def _extract(Y: BfOutputTensor, method: str, fit, hyper: float
+             ) -> tuple[list[Waveform], Waveform]:
+    """The per-hyper stage of `separate` on a `_fit` result: mask (threshold
+    tau for nmf), Wiener gain, iSTFT and delay-and-sum.  The fit is only read."""
+    if method == "nmf":
+        mask = threshold_mask(fit, Y.n_arrays, Y.values.shape[1], hyper)
+        specs = nmf_wiener(fit, mask, Y)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        specs = ntf_wiener(*fit, Y)
     waves = [istft(s, Y.config, Y.n_samples) for s in specs]
     return waves, delay_and_sum(waves)
 
 
 def _execute(cfg: ExperimentConfig, state: PipelineState, method: str,
-             k: int, hyper: float, seed_index: int
+             k: int, hyper: float, seed_index: int, fits: dict
              ) -> tuple[list[Waveform], Waveform, Waveform]:
-    """Run one method; returns (per-array estimates, fused output, reference)."""
+    """Run one method; returns (per-array estimates, fused output, reference).
+
+    `fits` maps `_fit_key` to a `_fit` result; a missing fit is made and
+    stored, so the rows of one group fit once.
+    """
     if method == "bf-only":
         array = int(hyper)
         if not 0 <= array < cfg.scene.n_arrays:
             raise ValueError(f"bf-only hyper must be an array index, got {hyper}")
         wave = state.bf_waves[array]
         return [wave], wave, state.references[array]
-    stream_seed = derive_seed(cfg.master_seed, method, k, hyper, seed_index)
-    waves, fused = separate(state.bf_tensor, method, k, hyper, stream_seed,
-                            cfg.iterations, cfg.warmup_iterations)
+    key = _fit_key(method, k, hyper, seed_index)
+    if key not in fits:
+        stream_seed = derive_seed(cfg.master_seed, method, k, hyper, seed_index)
+        fits[key] = _fit(state.bf_tensor, method, k, hyper, stream_seed,
+                         cfg.iterations, cfg.warmup_iterations)
+    waves, fused = _extract(state.bf_tensor, method, fits[key], hyper)
     return waves, fused, state.references[0]
 
 
@@ -269,8 +307,10 @@ def _score(cfg: ExperimentConfig, fused: Waveform,
 
 def _run_task(cfg: ExperimentConfig, state: PipelineState,
               task: tuple[str, int, float, int],
-              keep_waves: bool = False
+              keep_waves: bool = False, fits: dict | None = None,
               ) -> tuple[ResultRow, list[Waveform], Waveform | None]:
+    """Run and score one row.  Rows given the same `fits` dict share their
+    fit; the row that makes it carries its time in runtime_ms."""
     method, k, hyper, seed_index = task
     waves: list[Waveform] = []
     fused = None
@@ -278,8 +318,9 @@ def _run_task(cfg: ExperimentConfig, state: PipelineState,
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            waves, fused, reference = _execute(cfg, state, method, k, hyper,
-                                               seed_index)
+            waves, fused, reference = _execute(
+                cfg, state, method, k, hyper, seed_index,
+                {} if fits is None else fits)
             f_db, s_db = _score(cfg, fused, reference)
         status, reason = "ok", ""
     except Exception as exc:  # noqa: BLE001 - row-level fault isolation
@@ -319,19 +360,30 @@ def run_single(cfg: ExperimentConfig, method: str, k: int, hyper: float,
 
 
 def enumerate_tasks(cfg: ExperimentConfig) -> list[tuple[str, int, float, int]]:
-    """Sweep grid in deterministic order; bf-only sweeps the array index."""
+    """Sweep grid in deterministic order; bf-only sweeps the array index.
+
+    Rows that share a fit are adjacent: nmf sweeps tau innermost.
+    """
     tasks = []
     for method in cfg.methods:
         if method == "bf-only":
-            combos = [(0, float(a)) for a in range(cfg.scene.n_arrays)]
+            tasks += [(method, 0, float(a), s)
+                      for a in range(cfg.scene.n_arrays)
+                      for s in range(cfg.n_seeds)]
         elif method == "nmf":
-            combos = [(k, float(t)) for k in cfg.k_grid for t in cfg.tau_grid]
+            tasks += [(method, k, float(t), s) for k in cfg.k_grid
+                      for s in range(cfg.n_seeds) for t in cfg.tau_grid]
         else:
-            combos = [(k, float(m)) for k in cfg.k_grid for m in cfg.mu_grid]
-        for k, hyper in combos:
-            for s in range(cfg.n_seeds):
-                tasks.append((method, k, hyper, s))
+            tasks += [(method, k, float(m), s) for k in cfg.k_grid
+                      for m in cfg.mu_grid for s in range(cfg.n_seeds)]
     return tasks
+
+
+def _group_tasks(tasks: list[tuple[str, int, float, int]]
+                 ) -> list[list[tuple[str, int, float, int]]]:
+    """Runs of adjacent tasks with one `_fit_key`: the sweep's units of work."""
+    return [list(g) for _, g in itertools.groupby(
+        tasks, key=lambda t: _fit_key(*t))]
 
 
 _WORKER_CFG: ExperimentConfig | None = None
@@ -344,39 +396,50 @@ def _init_worker(cfg: ExperimentConfig, state: PipelineState) -> None:
     _WORKER_STATE = state
 
 
-def _worker_run(task: tuple[str, int, float, int]) -> ResultRow:
-    return _run_task(_WORKER_CFG, _WORKER_STATE, task)[0]
+def _run_group(cfg: ExperimentConfig, state: PipelineState,
+               group: list[tuple[str, int, float, int]]) -> list[ResultRow]:
+    """Rows of one fit: the first row fits, every row extracts its hyper."""
+    fits: dict = {}
+    return [_run_task(cfg, state, t, fits=fits)[0] for t in group]
+
+
+def _worker_run(group: list[tuple[str, int, float, int]]) -> list[ResultRow]:
+    return _run_group(_WORKER_CFG, _WORKER_STATE, group)
 
 
 def run_experiment(cfg: ExperimentConfig
                    ) -> tuple[list[ResultRow], dict[tuple, AggregateStats]]:
     """Run the full sweep; writes results.csv, summary.csv, and plot data.
 
-    Single-worker sweeps run inline (no preemption, so timeout_s is not
-    enforced); multi-worker sweeps run in a process pool where a run
-    exceeding timeout_s is marked failed and the sweep continues.
+    The unit of work is one fit: the rows sharing a `_fit_key` form a group,
+    so each (K, seed index) fits NMF once and thresholds every tau on it,
+    and each ntf row is a group of its own.  Single-worker sweeps run the
+    groups inline (no preemption, so timeout_s is not enforced); multi-worker
+    sweeps submit one group per pool task and wait timeout_s times the
+    group's row count for it.  A group past that wait fails every one of its
+    rows as "timeout", and the sweep continues.
     """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     state = prepare_pipeline(cfg)
-    tasks = enumerate_tasks(cfg)
+    groups = _group_tasks(enumerate_tasks(cfg))
     if cfg.workers <= 1:
-        rows = [_run_task(cfg, state, t)[0] for t in tasks]
+        rows = [r for g in groups for r in _run_group(cfg, state, g)]
     else:
         rows = []
         with ProcessPoolExecutor(max_workers=cfg.workers,
                                  initializer=_init_worker,
                                  initargs=(cfg, state)) as pool:
-            futures = [pool.submit(_worker_run, t) for t in tasks]
-            for t, fut in zip(tasks, futures):
+            futures = [pool.submit(_worker_run, g) for g in groups]
+            for g, fut in zip(groups, futures):
                 try:
-                    rows.append(fut.result(timeout=cfg.timeout_s))
+                    rows += fut.result(timeout=cfg.timeout_s * len(g))
                 except FutTimeout:
-                    method, k, hyper, s = t
-                    rows.append(ResultRow(
+                    rows += [ResultRow(
                         method, cfg.scene.n_arrays, cfg.scene.t60, k, hyper,
                         s, float("nan"), float("nan"),
-                        cfg.timeout_s * 1000.0, "failed", "timeout"))
+                        cfg.timeout_s * 1000.0, "failed", "timeout")
+                        for method, k, hyper, s in g]
     rows.sort(key=ResultRow.sort_key)
     stats = _aggregate_rows(rows)
     write_results_csv(out / "results.csv", rows)
@@ -476,8 +539,13 @@ def _write_manifest(path, cfg: ExperimentConfig, rows: list[ResultRow]) -> None:
         "config": cfg.to_dict(),
         "schemas": {"results": RESULTS_SCHEMA, "summary": SUMMARY_SCHEMA,
                     "plots": PLOT_SCHEMA},
-        "seed_scheme": "first 8 bytes of sha256('<master>|<method>|<K>|"
-                       "<hyper>|<seed index>'), little-endian",
+        "seed_scheme": {
+            "nmf": "first 8 bytes, little-endian, of "
+                   "sha256(f'{master}|nmf|{K}|{seed index}'); one fit serves "
+                   "every tau",
+            "ntf": "first 8 bytes, little-endian, of "
+                   "sha256(f'{master}|ntf|{K}|{float(mu)!r}|{seed index}')",
+        },
         "n_rows": len(rows),
         "n_failed": len(failed),
         "failed": failed,

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.signal
 
 from spotform.signal import Waveform
 
@@ -334,6 +333,8 @@ def simulate_rirs(scene: Scene) -> RirSet:
 
 def render_observations(sources: list[Waveform], rirs: RirSet) -> ObservationTensor:
     """Convolve each dry source with its RIRs and sum into mic mixtures."""
+    import scipy.signal  # lazy: about 1 s to import, unused by `spotform`
+
     scene = rirs.scene
     if len(sources) != scene.n_sources:
         raise ValueError(

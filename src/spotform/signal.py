@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.io.wavfile
-import scipy.signal
 
 EPS = 1e-12
 
@@ -177,6 +176,8 @@ def normalize_energy(sources: list[Waveform]) -> list[Waveform]:
 
 def resample(x: Waveform, target_rate: int) -> Waveform:
     """Polyphase windowed-sinc resampling (~64 taps per phase, Kaiser beta=8)."""
+    import scipy.signal  # lazy: about 1 s to import, unused by `spotform`
+
     if target_rate <= 0:
         raise ValueError("target_rate must be positive")
     if target_rate == x.sample_rate:

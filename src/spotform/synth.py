@@ -13,7 +13,6 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
-import scipy.signal
 
 from spotform.signal import Waveform, normalize_energy, write_wav
 
@@ -32,6 +31,8 @@ def harmonic_voice(
     The formants move slowly, so the short-time spectrum keeps changing and
     a low-rank factorization genuinely needs many bases to track it.
     """
+    import scipy.signal  # lazy: about 1 s to import, unused by `spotform`
+
     rng = np.random.default_rng(seed)
     n = int(round(duration_s * sample_rate))
     t = np.arange(n) / sample_rate

@@ -257,6 +257,29 @@ class TestDelayAndSum:
         out = delay_and_sum([Waveform(x, FS), Waveform(y, FS)], max_lag=64)
         assert np.max(np.abs(out.samples[10:-10] - x[10:-10])) < 1e-10
 
+    @pytest.mark.parametrize("n", [9, 64, 257, 1000, 4000, 19200])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_lag_matches_scipy_correlate(self, n, sign):
+        # delay_and_sum correlates by FFT itself to keep scipy.signal off the
+        # `spotform` command's path; scipy picks the direct method below
+        # about 4000 samples, so short lengths cross-check the arithmetic
+        import scipy.signal
+
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n)
+        shift = sign * max(1, n // 7)
+        y = np.roll(x, shift) + 0.3 * rng.standard_normal(n)
+        corr = scipy.signal.correlate(y, x, mode="full")
+        lags = scipy.signal.correlation_lags(n, n, mode="full")
+        lag = int(lags[np.argmax(corr)])
+        aligned = np.zeros(n)
+        if lag >= 0:
+            aligned[: n - lag] = y[lag:]
+        else:
+            aligned[-lag:] = y[: n + lag]
+        out = delay_and_sum([Waveform(x, FS), Waveform(y, FS)])
+        np.testing.assert_array_equal(out.samples, (x + aligned) / 2)
+
     def test_single_input_identity(self):
         x = np.arange(50, dtype=float)
         out = delay_and_sum([Waveform(x, FS)])

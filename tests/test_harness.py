@@ -7,17 +7,24 @@ everything except the runtime column, which is wall-clock by nature.
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import spotform
+from spotform import harness
 from spotform.beamform import BfOutputTensor, delay_and_sum
 from spotform.cli import main
 from spotform.evaluate import filtered_sdr, si_sdr
 from spotform.harness import (
     ExperimentConfig,
+    _fit,
     _run_task,
     derive_seed,
     emit_plots,
@@ -64,6 +71,39 @@ def experiment(small_cfg):
     return run_experiment(small_cfg)
 
 
+NTF_K, NTF_MU = 6, 10.0
+
+
+@pytest.fixture(scope="module")
+def ntf_cfg(small_cfg, state):
+    """small_cfg sized so that the NTF mask keeps only some bases.
+
+    On small_cfg itself every basis lands in the target class, so an ntf row
+    there is the fused beamformer output whatever the seed, warmup or mask.
+    Same scene and sources, so `state` serves it too.
+    """
+    cfg = replace(small_cfg, k_grid=(NTF_K,), mu_grid=(NTF_MU,),
+                  iterations=40, warmup_iterations=30)
+    for s in range(cfg.n_seeds):
+        seed = derive_seed(cfg.master_seed, "ntf", NTF_K, NTF_MU, s)
+        _, assignment = _fit(state.bf_tensor, "ntf", NTF_K, NTF_MU, seed,
+                             cfg.iterations, cfg.warmup_iterations)
+        assert 0 < assignment.h.sum() < NTF_K
+    return cfg
+
+
+@pytest.fixture(scope="module")
+def tau_cfg(small_cfg, tmp_path_factory):
+    """One K, three taus, two seeds: two NMF fits serve six rows."""
+    return replace(small_cfg, methods=("nmf",), tau_grid=(0.01, 0.05, 0.2),
+                   out_dir=str(tmp_path_factory.mktemp("tau")))
+
+
+@pytest.fixture(scope="module")
+def tau_sweep(tau_cfg):
+    return run_experiment(tau_cfg)[0]
+
+
 class TestConfig:
     def test_json_roundtrip(self, small_cfg, tmp_path):
         path = tmp_path / "cfg.json"
@@ -108,22 +148,29 @@ class TestSeeding:
             0, "ntf", 30, 100.0, 3)
 
     def test_keys_give_distinct_streams(self):
+        # the key names what the fit depends on: tau acts after the NMF fit,
+        # mu shapes the NTF fit
+        for k in (10, 30):
+            for i in (0, 1):
+                assert len({derive_seed(0, "nmf", k, tau, i)
+                            for tau in (1e-4, 0.1, 1.0)}) == 1
         seeds = {
-            derive_seed(m, meth, k, h, i)
+            derive_seed(m, meth, k, 1.0, i)
             for m in (0, 1)
             for meth in ("nmf", "ntf")
             for k in (10, 30)
-            for h in (0.1, 100.0)
             for i in (0, 1)
         }
-        assert len(seeds) == 32
+        assert len(seeds) == 16
+        assert len({derive_seed(0, "ntf", 30, mu, 0)
+                    for mu in (1.0, 10.0, 100.0, 1000.0)}) == 4
 
     def test_hyper_keyed_by_float_value(self):
         # grid entries may be numpy scalars and CLI users may type integers;
         # both must name the same stream as the sweep's Python-float task
-        tau = np.geomspace(1e-4, 1.0, 12)[0]
-        assert derive_seed(0, "nmf", 30, tau, 2) == derive_seed(
-            0, "nmf", 30, float(tau), 2)
+        mu = np.geomspace(1.0, 1000.0, 4)[1]
+        assert derive_seed(0, "ntf", 30, mu, 2) == derive_seed(
+            0, "ntf", 30, float(mu), 2)
         assert derive_seed(0, "ntf", 30, 100, 2) == derive_seed(
             0, "ntf", 30, 100.0, 2)
 
@@ -140,17 +187,17 @@ class TestEnumerateTasks:
 
 
 class TestRunSingle:
-    def test_ntf_emits_per_array_plus_fused(self, small_cfg, state):
-        paths, row = run_single(small_cfg, "ntf", 4, 10.0, 0, state=state)
+    def test_ntf_emits_per_array_plus_fused(self, ntf_cfg, state):
+        paths, row = run_single(ntf_cfg, "ntf", NTF_K, NTF_MU, 0, state=state)
         assert row.status == "ok"
         assert [p.name for p in paths] == ["array0.wav", "array1.wav",
                                            "fused.wav"]
         assert all(p.exists() for p in paths)
 
-    def test_repeat_invocation_is_bit_identical(self, small_cfg, state):
-        paths1, _ = run_single(small_cfg, "ntf", 4, 10.0, 1, state=state)
+    def test_repeat_invocation_is_bit_identical(self, ntf_cfg, state):
+        paths1, _ = run_single(ntf_cfg, "ntf", NTF_K, NTF_MU, 1, state=state)
         first = [p.read_bytes() for p in paths1]
-        paths2, _ = run_single(small_cfg, "ntf", 4, 10.0, 1, state=state)
+        paths2, _ = run_single(ntf_cfg, "ntf", NTF_K, NTF_MU, 1, state=state)
         assert [p.read_bytes() for p in paths2] == first
 
     def test_nmf_zero_threshold_reduces_to_fused_bf(self, small_cfg, state):
@@ -177,16 +224,19 @@ class TestRunSingle:
         assert row.sdr_filtered_db == want.sdr_filtered_db
         assert row.sdr_si_db == want.sdr_si_db
 
-    @pytest.mark.parametrize("method, hyper", [("nmf", 0.05), ("ntf", 10.0)])
-    def test_sweep_task_runs_separate(self, small_cfg, state, method, hyper):
-        row, waves, fused = _run_task(small_cfg, state, (method, 4, hyper, 1),
+    @pytest.mark.parametrize("method, hyper", [("nmf", 0.05), ("ntf", NTF_MU)])
+    def test_sweep_task_runs_separate(self, small_cfg, ntf_cfg, state, method,
+                                      hyper):
+        cfg = ntf_cfg if method == "ntf" else small_cfg
+        k = cfg.k_grid[0]
+        row, waves, fused = _run_task(cfg, state, (method, k, hyper, 1),
                                       keep_waves=True)
         assert row.status == "ok"
-        seed = derive_seed(small_cfg.master_seed, method, 4, hyper, 1)
+        seed = derive_seed(cfg.master_seed, method, k, hyper, 1)
         want_waves, want_fused = separate(
-            state.bf_tensor, method, 4, hyper, seed, small_cfg.iterations,
-            small_cfg.warmup_iterations)
-        assert len(waves) == len(want_waves) == small_cfg.scene.n_arrays
+            state.bf_tensor, method, k, hyper, seed, cfg.iterations,
+            cfg.warmup_iterations)
+        assert len(waves) == len(want_waves) == cfg.scene.n_arrays
         for got, want in zip(waves, want_waves):
             np.testing.assert_array_equal(got.samples, want.samples)
         np.testing.assert_array_equal(fused.samples, want_fused.samples)
@@ -219,15 +269,13 @@ class TestRunExperiment:
 
     def test_results_csv_schema(self, small_cfg, experiment):
         lines = (Path(small_cfg.out_dir) / "results.csv").read_text().splitlines()
-        assert lines[0] == "# schema: spotform/results/v1"
+        assert lines[0] == "# schema: spotform/results/v2"
         header = lines[1].split(",")
         assert header[:6] == ["method", "n_arrays", "t60", "k", "tau_or_mu",
                               "seed"]
         assert len(lines) == 2 + len(experiment[0])
 
     def test_deterministic_apart_from_runtime(self, small_cfg, tmp_path):
-        from dataclasses import replace
-
         cfg2 = replace(small_cfg, out_dir=str(tmp_path / "rerun"))
         rows2, _ = run_experiment(cfg2)
         rows1, _ = run_experiment(replace(small_cfg,
@@ -263,8 +311,6 @@ class TestRunExperiment:
         assert doc["n_failed"] == 0
 
     def test_worker_pool_matches_inline(self, small_cfg, tmp_path):
-        from dataclasses import replace
-
         cfg = replace(small_cfg, methods=("bf-only", "ntf"), n_seeds=1,
                       workers=2, out_dir=str(tmp_path / "pool"))
         rows_pool, _ = run_experiment(cfg)
@@ -274,10 +320,49 @@ class TestRunExperiment:
                            r.sdr_filtered_db, r.sdr_si_db)
         assert [strip(r) for r in rows_pool] == [strip(r) for r in rows_inline]
 
+    def test_nmf_fits_once_per_k_and_seed(self, tau_cfg, tmp_path,
+                                          monkeypatch):
+        calls = []
+        fit_nmf = harness.fit_nmf
+
+        def counting_fit_nmf(C, K, iterations, seed):
+            calls.append((K, seed))
+            return fit_nmf(C, K, iterations, seed)
+
+        monkeypatch.setattr(harness, "fit_nmf", counting_fit_nmf)
+        rows, _ = run_experiment(replace(tau_cfg, out_dir=str(tmp_path)))
+        assert len(rows) == 6 and all(r.status == "ok" for r in rows)
+        assert sorted(calls) == sorted(
+            (4, derive_seed(tau_cfg.master_seed, "nmf", 4, 0.0, s))
+            for s in range(2))
+
+    def test_run_single_reproduces_every_nmf_row(self, tau_cfg, tau_sweep,
+                                                 state):
+        for want in tau_sweep:
+            _, row = run_single(tau_cfg, "nmf", want.k, want.tau_or_mu,
+                                want.seed, state=state)
+            assert row.status == want.status == "ok"
+            assert row.sdr_filtered_db == want.sdr_filtered_db
+            assert row.sdr_si_db == want.sdr_si_db
+
+    def test_grouped_pool_matches_inline(self, tau_cfg, tau_sweep, tmp_path):
+        rows_pool, _ = run_experiment(
+            replace(tau_cfg, workers=2, out_dir=str(tmp_path)))
+        strip = lambda r: (r.method, r.k, r.tau_or_mu, r.seed,
+                           r.sdr_filtered_db, r.sdr_si_db, r.status)
+        assert [strip(r) for r in rows_pool] == [strip(r) for r in tau_sweep]
+
+    def test_group_timeout_fails_every_row_of_the_group(self, tau_cfg,
+                                                        tmp_path):
+        # no fit finishes within microseconds of submission
+        rows, _ = run_experiment(replace(tau_cfg, workers=2, timeout_s=1e-6,
+                                         out_dir=str(tmp_path)))
+        assert len(rows) == 6
+        assert all(r.status == "failed" and r.reason == "timeout"
+                   for r in rows)
+
     def test_missing_combination_listed_in_plot_manifest(self, small_cfg,
                                                          experiment, tmp_path):
-        from dataclasses import replace
-
         _, stats = experiment
         pruned = dict(stats)
         del pruned[("ntf", "filtered-sdr", 4, 10.0)]
@@ -339,9 +424,24 @@ class TestCli:
             np.testing.assert_array_equal(g.samples,
                                           w.samples.astype(np.float32))
 
-    def test_run_from_config_file(self, small_cfg, tmp_path, capsys):
-        from dataclasses import replace
+    def test_spotform_does_not_import_scipy_signal(self, sources, tmp_path):
+        # scipy.signal takes about a second to import; `spotform` needs none
+        # of it, so a cold run of the command must not load it
+        script = (
+            "import sys\n"
+            "from spotform.cli import main\n"
+            f"assert main(['spotform', {sources[0]!r}, {sources[1]!r}, "
+            "'--method', 'nmf', '--k', '3', '--hyper', '0.01', "
+            f"'--iterations', '4', '--out', {str(tmp_path / 'spot')!r}]) == 0\n"
+            "assert 'scipy.signal' not in sys.modules\n"
+        )
+        src = str(Path(spotform.__file__).parents[1])
+        subprocess.run([sys.executable, "-c", script], check=True,
+                       env=dict(os.environ, PYTHONPATH=src),
+                       timeout=120)
+        assert (tmp_path / "spot" / "estimate_fused.wav").exists()
 
+    def test_run_from_config_file(self, small_cfg, tmp_path, capsys):
         cfg = replace(small_cfg, methods=("bf-only",), n_seeds=1,
                       out_dir=str(tmp_path / "cli_out"))
         cfg_path = tmp_path / "exp.json"
@@ -350,8 +450,6 @@ class TestCli:
         assert (tmp_path / "cli_out" / "results.csv").exists()
 
     def test_run_out_override(self, small_cfg, tmp_path, capsys):
-        from dataclasses import replace
-
         cfg = replace(small_cfg, methods=("bf-only",), n_seeds=1)
         cfg_path = tmp_path / "exp.json"
         cfg.save(cfg_path)
