@@ -101,20 +101,11 @@ def mvdr_weights(d: SteeringSet, R: NoiseCovarianceSet) -> np.ndarray:
     return sol / denom[..., None]
 
 
-def mvdr(
-    X: ObservationTensor,
-    d: SteeringSet,
-    R: NoiseCovarianceSet,
-    source: int | None = None,
-) -> BfOutputTensor:
-    """Beamform every array's mics down to one spectrogram per array.
-
-    With `source` set, the beamformer is applied to that source's image
-    signals instead of the mixture (useful for oracle references).
-    """
+def mvdr(X: ObservationTensor, d: SteeringSet,
+         R: NoiseCovarianceSet) -> BfOutputTensor:
+    """Beamform every array's mixture mics down to one spectrogram per array."""
     w = mvdr_weights(d, R)
-    sig = X.mixture if source is None else X.images[source]
-    A, M, L = sig.shape
+    A, M, L = X.mixture.shape
     if w.shape[0] != A or w.shape[2] != M:
         raise ValueError("weights do not match the observation dims")
     cfg = d.config
@@ -122,7 +113,7 @@ def mvdr(
     Y = np.zeros((cfg.n_bins, J, A), dtype=np.complex128)
     for a in range(A):
         for m in range(M):
-            S_am = stft(Waveform(sig[a, m], X.sample_rate), cfg).values
+            S_am = stft(Waveform(X.mixture[a, m], X.sample_rate), cfg).values
             Y[:, :, a] += w[a, :, m].conj()[:, None] * S_am
     return BfOutputTensor(Y, cfg, X.sample_rate, L)
 
@@ -140,7 +131,7 @@ def _xcorr_full(x: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return scipy.fft.irfft(spec, size)[:m]
 
 
-def delay_and_sum(estimates: list[Waveform], max_lag: int | None = None) -> Waveform:
+def delay_and_sum(estimates: list[Waveform]) -> Waveform:
     """Align estimates by cross-correlation, then average.
 
     The first estimate that is not all zero is the anchor.  All-zero
@@ -163,12 +154,7 @@ def delay_and_sum(estimates: list[Waveform], max_lag: int | None = None) -> Wave
             warnings.warn("all-zero estimate contributes nothing to the fusion")
         if i == anchor or silent[i]:
             continue
-        corr = _xcorr_full(x, ref)
-        lags = np.arange(-(n - 1), n)
-        if max_lag is not None:
-            keep = np.abs(lags) <= max_lag
-            corr, lags = corr[keep], lags[keep]
-        lag = int(lags[np.argmax(corr)])
+        lag = int(np.argmax(_xcorr_full(x, ref))) - (n - 1)
         shifted = np.zeros(n)
         if lag >= 0:
             shifted[: n - lag] = x[lag:]

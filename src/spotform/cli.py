@@ -112,8 +112,12 @@ def _cmd_spotform(args) -> int:
 def _cmd_eval(args) -> int:
     est = read_wav(args.estimate)
     ref = read_wav(args.reference)
-    print(f"filtered_sdr_db={filtered_sdr(est, ref, args.taps):.4f}")
-    print(f"si_sdr_db={si_sdr(est, ref):.4f}")
+    try:
+        f_db, s_db = filtered_sdr(est, ref, args.taps), si_sdr(est, ref)
+    except ValueError as exc:
+        raise SystemExit(f"eval: {exc}") from exc
+    print(f"filtered_sdr_db={f_db:.4f}")
+    print(f"si_sdr_db={s_db:.4f}")
     return 0
 
 

@@ -21,24 +21,6 @@ SENTINEL_DB = 300.0
 RIDGE_FACTOR = 1e-10
 EPS_NORM = 1e-300
 
-VARIANTS = ("si-sdr", "filtered-sdr")
-
-
-@dataclass
-class SdrReport:
-    """One scored trial: which method, its hyperparameters, seed, and score."""
-
-    method: str
-    variant: str
-    k: int
-    tau_or_mu: float
-    seed: int
-    sdr_db: float
-
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
-
 
 @dataclass
 class AggregateStats:
@@ -49,17 +31,15 @@ class AggregateStats:
     n: int
 
 
-def _as_samples(x) -> np.ndarray:
-    if isinstance(x, Waveform):
-        return x.samples
-    return np.asarray(x, dtype=np.float64)
-
-
-def _common_part(estimate, reference) -> tuple[np.ndarray, np.ndarray]:
-    e = _as_samples(estimate)
-    s = _as_samples(reference)
-    n = min(e.shape[0], s.shape[0])
-    e, s = e[:n], s[:n]
+def _common_part(estimate: Waveform, reference: Waveform
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    if estimate.sample_rate != reference.sample_rate:
+        raise ValueError(
+            f"estimate rate {estimate.sample_rate} != reference rate "
+            f"{reference.sample_rate}"
+        )
+    n = min(len(estimate), len(reference))
+    e, s = estimate.samples[:n], reference.samples[:n]
     if not np.any(s):
         raise ValueError("silent reference")
     return e, s
@@ -74,7 +54,7 @@ def _ratio_db(target_energy: float, noise_energy: float) -> float:
     return float(np.clip(sdr, -SENTINEL_DB, SENTINEL_DB))
 
 
-def si_sdr(estimate, reference) -> float:
+def si_sdr(estimate: Waveform, reference: Waveform) -> float:
     """Scale-invariant SDR in dB: estimate vs its projection onto the reference."""
     e, s = _common_part(estimate, reference)
     alpha = float(np.dot(e, s) / np.dot(s, s))
@@ -82,7 +62,8 @@ def si_sdr(estimate, reference) -> float:
     return _ratio_db(float(np.sum(target**2)), float(np.sum((e - target) ** 2)))
 
 
-def filtered_sdr(estimate, reference, filter_taps: int = 512) -> float:
+def filtered_sdr(estimate: Waveform, reference: Waveform,
+                 filter_taps: int = 512) -> float:
     """SDR in dB after fitting a least-squares FIR from reference to estimate.
 
     The normal equations use the full-signal correlations, so the system
@@ -136,15 +117,8 @@ def _solve_normal_equations(auto: np.ndarray, cross: np.ndarray) -> np.ndarray:
     return g
 
 
-def aggregate(reports: list[SdrReport]) -> dict[tuple, AggregateStats]:
-    """Group scores by (method, variant, K, tau-or-mu) and summarize each group."""
-    if not reports:
-        raise ValueError("no reports to aggregate")
-    groups: dict[tuple, list[float]] = {}
-    for r in reports:
-        groups.setdefault((r.method, r.variant, r.k, r.tau_or_mu), []).append(
-            r.sdr_db
-        )
+def aggregate(groups: dict[tuple, list[float]]) -> dict[tuple, AggregateStats]:
+    """Summarize each group of scores (e.g. one configuration's seeds)."""
     out = {}
     for key, vals in groups.items():
         arr = np.asarray(vals)

@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from spotform.beamform import BfOutputTensor, delay_and_sum, mvdr, oracle_quantities
-from spotform.evaluate import SdrReport, AggregateStats, aggregate, filtered_sdr, si_sdr
+from spotform.evaluate import AggregateStats, aggregate, filtered_sdr, si_sdr
 from spotform.nmf import build_concat, fit_nmf, nmf_wiener, threshold_mask
 from spotform.ntf import (
     RegularizationSchedule,
@@ -306,11 +306,12 @@ def _score(cfg: ExperimentConfig, fused: Waveform,
 
 
 def _run_task(cfg: ExperimentConfig, state: PipelineState,
-              task: tuple[str, int, float, int],
-              keep_waves: bool = False, fits: dict | None = None,
+              task: tuple[str, int, float, int], fits: dict | None = None,
               ) -> tuple[ResultRow, list[Waveform], Waveform | None]:
-    """Run and score one row.  Rows given the same `fits` dict share their
-    fit; the row that makes it carries its time in runtime_ms."""
+    """Run and score one row; returns (row, per-array estimates, fused).
+
+    Rows given the same `fits` dict share their fit; the row that makes it
+    carries its time in runtime_ms."""
     method, k, hyper, seed_index = task
     waves: list[Waveform] = []
     fused = None
@@ -329,8 +330,6 @@ def _run_task(cfg: ExperimentConfig, state: PipelineState,
     runtime_ms = (time.perf_counter() - start) * 1000.0
     row = ResultRow(method, cfg.scene.n_arrays, cfg.scene.t60, k, hyper,
                     seed_index, f_db, s_db, runtime_ms, status, reason)
-    if not keep_waves:
-        waves, fused = [], None
     return row, waves, fused
 
 
@@ -344,8 +343,7 @@ def run_single(cfg: ExperimentConfig, method: str, k: int, hyper: float,
     """
     if state is None:
         state = prepare_pipeline(cfg)
-    row, waves, fused = _run_task(cfg, state, (method, k, hyper, seed_index),
-                                  keep_waves=True)
+    row, waves, fused = _run_task(cfg, state, (method, k, hyper, seed_index))
     paths: list[Path] = []
     if row.status == "ok":
         tag = f"{method}_K{k}_h{hyper:g}_s{seed_index}"
@@ -417,7 +415,8 @@ def run_experiment(cfg: ExperimentConfig
     groups inline (no preemption, so timeout_s is not enforced); multi-worker
     sweeps submit one group per pool task and wait timeout_s times the
     group's row count for it.  A group past that wait fails every one of its
-    rows as "timeout", and the sweep continues.
+    rows as "timeout" with runtime_ms NaN (no row finished, so none was
+    timed), and the sweep continues.
     """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -437,8 +436,8 @@ def run_experiment(cfg: ExperimentConfig
                 except FutTimeout:
                     rows += [ResultRow(
                         method, cfg.scene.n_arrays, cfg.scene.t60, k, hyper,
-                        s, float("nan"), float("nan"),
-                        cfg.timeout_s * 1000.0, "failed", "timeout")
+                        s, float("nan"), float("nan"), float("nan"),
+                        "failed", "timeout")
                         for method, k, hyper, s in g]
     rows.sort(key=ResultRow.sort_key)
     stats = _aggregate_rows(rows)
@@ -450,15 +449,16 @@ def run_experiment(cfg: ExperimentConfig
 
 
 def _aggregate_rows(rows: list[ResultRow]) -> dict[tuple, AggregateStats]:
-    reports = []
+    """Stats over seeds of the ok rows, keyed (method, variant, K, tau-or-mu)."""
+    groups: dict[tuple, list[float]] = {}
     for r in rows:
         if r.status != "ok":
             continue
-        reports.append(SdrReport(r.method, "filtered-sdr", r.k, r.tau_or_mu,
-                                 r.seed, r.sdr_filtered_db))
-        reports.append(SdrReport(r.method, "si-sdr", r.k, r.tau_or_mu,
-                                 r.seed, r.sdr_si_db))
-    return aggregate(reports) if reports else {}
+        for variant, sdr in (("filtered-sdr", r.sdr_filtered_db),
+                             ("si-sdr", r.sdr_si_db)):
+            groups.setdefault((r.method, variant, r.k, r.tau_or_mu),
+                              []).append(sdr)
+    return aggregate(groups)
 
 
 def _fmt(x: float) -> str:

@@ -85,10 +85,6 @@ class AttractorSet:
 
     P: np.ndarray  # (A, B) with B = A + 1
 
-    @property
-    def n_classes(self) -> int:
-        return self.P.shape[1]
-
 
 @dataclass
 class Assignment:

@@ -141,13 +141,12 @@ class Scene:
         )
 
 
-def default_scene(n_arrays: int = 2, t60: float = 0.3,
-                  sample_rate: int = 16000) -> Scene:
+def default_scene(n_arrays: int = 2, t60: float = 0.3) -> Scene:
     """Square 6 m room, target at the center, one in-line interferer per array.
 
     Each interferer stands 1.5 m behind the target along one array's look
     direction, so no single array can separate it from the target by steering
-    alone.
+    alone.  The scene keeps the `Scene` default rate of 16 kHz.
     """
     if n_arrays not in (1, 2, 3):
         raise ValueError("default_scene supports 1 to 3 arrays")
@@ -158,8 +157,7 @@ def default_scene(n_arrays: int = 2, t60: float = 0.3,
         arrays.append(MicArray(center=center, look=look))
         pos = target + 1.5 * np.array([math.cos(look), math.sin(look)])
         sources.append(SourcePlacement(position=(round(pos[0], 9), round(pos[1], 9))))
-    return Scene(arrays=tuple(arrays), sources=tuple(sources), t60=t60,
-                 sample_rate=sample_rate)
+    return Scene(arrays=tuple(arrays), sources=tuple(sources), t60=t60)
 
 
 @dataclass
@@ -361,7 +359,8 @@ def render_observations(sources: list[Waveform], rirs: RirSet) -> ObservationTen
 
 
 def save_rirs(path, rirs: RirSet) -> None:
-    """Persist a RirSet to .npz (taps + scene manifest)."""
+    """Persist a RirSet to .npz under the keys `taps`, `sample_rate`,
+    `reflection` and `scene_json` (the scene's `to_dict` as UTF-8 JSON)."""
     np.savez_compressed(
         path,
         taps=rirs.taps,
@@ -369,14 +368,3 @@ def save_rirs(path, rirs: RirSet) -> None:
         reflection=np.float64(rirs.reflection),
         scene_json=np.bytes_(json.dumps(rirs.scene.to_dict()).encode()),
     )
-
-
-def load_rirs(path) -> RirSet:
-    with np.load(path) as z:
-        scene = Scene.from_dict(json.loads(bytes(z["scene_json"]).decode()))
-        return RirSet(
-            taps=z["taps"].copy(),
-            sample_rate=int(z["sample_rate"]),
-            scene=scene,
-            reflection=float(z["reflection"]),
-        )

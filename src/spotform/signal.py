@@ -213,14 +213,6 @@ def read_wav(path) -> Waveform:
     return Waveform(samples, int(rate))
 
 
-def write_wav(path, x: Waveform, fmt: str = "float32") -> None:
-    """Write a mono WAV as 32-bit float (default) or 16-bit PCM."""
-    if fmt == "float32":
-        scipy.io.wavfile.write(path, x.sample_rate, x.samples.astype(np.float32))
-    elif fmt == "pcm16":
-        clipped = np.clip(x.samples, -1.0, 32767.0 / 32768.0)
-        scipy.io.wavfile.write(
-            path, x.sample_rate, np.round(clipped * 32768.0).astype(np.int16)
-        )
-    else:
-        raise ValueError(f"unsupported format: {fmt!r}")
+def write_wav(path, x: Waveform) -> None:
+    """Write a mono WAV as 32-bit float."""
+    scipy.io.wavfile.write(path, x.sample_rate, x.samples.astype(np.float32))

@@ -17,6 +17,7 @@ import numpy as np
 from spotform.signal import Waveform, normalize_energy, write_wav
 
 DEFAULT_F0S = (140.0, 95.0, 210.0, 180.0, 120.0)
+N_HARMONICS = 44
 
 
 def harmonic_voice(
@@ -24,7 +25,6 @@ def harmonic_voice(
     sample_rate: int,
     seed: int,
     f0: float = 140.0,
-    n_harmonics: int = 44,
 ) -> Waveform:
     """One voice-like source: unit energy, silent tail of ~30 ms.
 
@@ -50,7 +50,7 @@ def harmonic_voice(
     offsets = rng.uniform(0, 2 * np.pi, size=3)
     bandwidth = rng.uniform(150.0, 400.0, size=3)
     x = np.zeros(n)
-    for h in range(1, n_harmonics + 1):
+    for h in range(1, N_HARMONICS + 1):
         freq = h * f0
         if freq >= 0.45 * sample_rate:
             break

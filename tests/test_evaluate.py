@@ -12,13 +12,19 @@ from numpy.testing import assert_allclose
 from spotform.evaluate import (
     SENTINEL_DB,
     AggregateStats,
-    SdrReport,
     _solve_normal_equations,
     aggregate,
     filtered_sdr,
     si_sdr,
 )
+from spotform.harness import ResultRow, _aggregate_rows
 from spotform.signal import Waveform
+
+FS = 16000
+
+
+def w(x, rate=FS):
+    return Waveform(x, rate)
 
 
 def orthogonal_noise(rng, reference, snr_db):
@@ -33,13 +39,13 @@ class TestSiSdr:
     def test_scaled_estimate_hits_positive_sentinel(self):
         rng = np.random.default_rng(0)
         s = rng.standard_normal(4000)
-        assert si_sdr(3.7 * s, s) == SENTINEL_DB
+        assert si_sdr(w(3.7 * s), w(s)) == SENTINEL_DB
 
     def test_ten_db_construction(self):
         rng = np.random.default_rng(1)
         s = rng.standard_normal(16000)
         noise = orthogonal_noise(rng, s, 10.0)
-        got = si_sdr(s + noise, s)
+        got = si_sdr(w(s + noise), w(s))
         assert abs(got - 10.0) < 0.1
         # direct energy-ratio oracle: alpha = 1 by construction
         want = 10.0 * np.log10((s @ s) / (noise @ noise))
@@ -48,60 +54,61 @@ class TestSiSdr:
     def test_orthogonal_estimate_hits_negative_sentinel(self):
         rng = np.random.default_rng(2)
         s = rng.standard_normal(4000)
-        assert si_sdr(orthogonal_noise(rng, s, 0.0), s) == -SENTINEL_DB
+        assert si_sdr(w(orthogonal_noise(rng, s, 0.0)), w(s)) == -SENTINEL_DB
 
     def test_zero_estimate_hits_negative_sentinel(self):
         rng = np.random.default_rng(3)
         s = rng.standard_normal(100)
-        assert si_sdr(np.zeros(100), s) == -SENTINEL_DB
+        assert si_sdr(w(np.zeros(100)), w(s)) == -SENTINEL_DB
 
     def test_silent_reference_rejected(self):
         with pytest.raises(ValueError, match="silent reference"):
-            si_sdr(np.ones(10), np.zeros(10))
+            si_sdr(w(np.ones(10)), w(np.zeros(10)))
 
     def test_truncates_to_common_length(self):
         rng = np.random.default_rng(4)
         s = rng.standard_normal(500)
         e = rng.standard_normal(450)
-        assert si_sdr(e, s) == si_sdr(e, s[:450])
+        assert si_sdr(w(e), w(s)) == si_sdr(w(e), w(s[:450]))
 
     def test_invariant_to_estimate_scale(self):
         rng = np.random.default_rng(5)
         s = rng.standard_normal(1000)
         e = s + 0.4 * rng.standard_normal(1000)
-        assert abs(si_sdr(2.3 * e, s) - si_sdr(e, s)) < 1e-9
+        assert abs(si_sdr(w(2.3 * e), w(s)) - si_sdr(w(e), w(s))) < 1e-9
 
     def test_invariant_to_joint_scale(self):
         rng = np.random.default_rng(6)
         s = rng.standard_normal(1000)
         e = s + 0.4 * rng.standard_normal(1000)
-        assert abs(si_sdr(0.01 * e, 0.01 * s) - si_sdr(e, s)) < 1e-9
+        assert abs(si_sdr(w(0.01 * e), w(0.01 * s)) - si_sdr(w(e), w(s))) < 1e-9
 
     def test_accepts_waveforms(self):
+        # the rate must match, but it does not enter the arithmetic
         rng = np.random.default_rng(7)
         s = rng.standard_normal(800)
         e = s + 0.2 * rng.standard_normal(800)
-        assert si_sdr(Waveform(e, 16000), Waveform(s, 16000)) == si_sdr(e, s)
+        assert si_sdr(w(e, 8000), w(s, 8000)) == si_sdr(w(e), w(s))
 
 
 class TestFilteredSdr:
     def test_identical_signals_hit_positive_sentinel(self):
         rng = np.random.default_rng(10)
         s = rng.standard_normal(4000)
-        assert filtered_sdr(s, s) == SENTINEL_DB
+        assert filtered_sdr(w(s), w(s)) == SENTINEL_DB
 
     def test_delay_within_taps_is_absorbed(self):
         rng = np.random.default_rng(11)
         s = rng.standard_normal(16000)
         s[-150:] = 0.0  # source goes quiet before the end
         delayed = np.concatenate([np.zeros(100), s])[:16000]
-        assert filtered_sdr(delayed, s) >= 100.0
+        assert filtered_sdr(w(delayed), w(s)) >= 100.0
 
     def test_single_tap_equals_si_sdr(self):
         rng = np.random.default_rng(12)
         s = rng.standard_normal(3000)
         e = s + 0.3 * rng.standard_normal(3000)
-        assert abs(filtered_sdr(e, s, filter_taps=1) - si_sdr(e, s)) < 1e-9
+        assert abs(filtered_sdr(w(e), w(s), filter_taps=1) - si_sdr(w(e), w(s))) < 1e-9
 
     def test_matches_dense_least_squares_oracle(self):
         rng = np.random.default_rng(13)
@@ -115,7 +122,7 @@ class TestFilteredSdr:
         g, *_ = np.linalg.lstsq(X, np.pad(e, (0, taps - 1)), rcond=None)
         proj = np.convolve(s, g)[:n]
         want = 10.0 * np.log10(np.sum(proj**2) / np.sum((e - proj) ** 2))
-        assert filtered_sdr(e, s, filter_taps=taps) == pytest.approx(want,
+        assert filtered_sdr(w(e), w(s), filter_taps=taps) == pytest.approx(want,
                                                                      abs=1e-9)
 
     def test_never_below_si_sdr(self):
@@ -123,11 +130,11 @@ class TestFilteredSdr:
             rng = np.random.default_rng(seed)
             s = rng.standard_normal(4000)
             e = 0.7 * s + 0.5 * rng.standard_normal(4000)
-            assert filtered_sdr(e, s, 64) >= si_sdr(e, s) - 1e-6
+            assert filtered_sdr(w(e), w(s), 64) >= si_sdr(w(e), w(s)) - 1e-6
 
     def test_rejects_zero_taps(self):
         with pytest.raises(ValueError, match="filter_taps"):
-            filtered_sdr(np.ones(10), np.ones(10), filter_taps=0)
+            filtered_sdr(w(np.ones(10)), w(np.ones(10)), filter_taps=0)
 
     def test_singular_normal_equations_warn_and_ridge(self):
         with pytest.warns(UserWarning, match="ill-conditioned"):
@@ -135,47 +142,52 @@ class TestFilteredSdr:
         assert np.all(np.isfinite(g))
 
 
+@pytest.mark.parametrize("metric", [si_sdr, filtered_sdr])
+def test_mismatched_rates_rejected(metric):
+    # the same samples at another rate are a different signal, not a match
+    x = np.random.default_rng(30).standard_normal(800)
+    with pytest.raises(ValueError, match="rate"):
+        metric(w(x, 8000), w(x, 16000))
+
+
 class TestAggregate:
-    def report(self, sdr, method="ntf", k=30, hyper=100.0, seed=0,
-               variant="filtered-sdr"):
-        return SdrReport(method, variant, k, hyper, seed, sdr)
+    KEY = ("ntf", "filtered-sdr", 30, 100.0)
 
     def test_single_report(self):
-        out = aggregate([self.report(5.0)])
-        stats = out[("ntf", "filtered-sdr", 30, 100.0)]
-        assert stats == AggregateStats(5.0, 0.0, 1)
+        out = aggregate({self.KEY: [5.0]})
+        assert out[self.KEY] == AggregateStats(5.0, 0.0, 1)
 
     def test_two_reports_unbiased_std(self):
-        out = aggregate([self.report(4.0, seed=0), self.report(6.0, seed=1)])
-        stats = out[("ntf", "filtered-sdr", 30, 100.0)]
+        stats = aggregate({self.KEY: [4.0, 6.0]})[self.KEY]
         assert stats.mean_db == 5.0
         assert stats.std_db == pytest.approx(np.sqrt(2.0))
 
     def test_matches_two_pass_oracle(self):
         rng = np.random.default_rng(20)
         vals = rng.uniform(-5, 15, size=10)
-        out = aggregate([self.report(v, seed=i) for i, v in enumerate(vals)])
-        stats = out[("ntf", "filtered-sdr", 30, 100.0)]
+        stats = aggregate({self.KEY: list(vals)})[self.KEY]
         mean = sum(vals) / 10.0
         std = np.sqrt(sum((v - mean) ** 2 for v in vals) / 9.0)
         assert stats.mean_db == pytest.approx(mean, abs=1e-12)
         assert stats.std_db == pytest.approx(std, abs=1e-12)
 
     def test_groups_are_kept_apart(self):
-        reports = [
-            self.report(1.0, method="nmf", hyper=0.1),
-            self.report(2.0, method="nmf", hyper=0.2),
-            self.report(3.0),
-            self.report(4.0, variant="si-sdr"),
-        ]
-        out = aggregate(reports)
-        assert len(out) == 4
+        # the sweep groups its ok rows' two scores by (method, variant, K,
+        # tau-or-mu); failed rows do not count
+        def row(method, hyper, seed, f_db, s_db, status="ok"):
+            return ResultRow(method, 2, 0.0, 30, hyper, seed, f_db, s_db,
+                             1.0, status)
+
+        out = _aggregate_rows([
+            row("nmf", 0.1, 0, 1.0, 0.5),
+            row("nmf", 0.2, 0, 2.0, 1.5),
+            row("ntf", 100.0, 0, 3.0, 4.0),
+            row("ntf", 100.0, 1, 5.0, 6.0),
+            row("ntf", 100.0, 2, float("nan"), float("nan"), "failed"),
+        ])
+        assert len(out) == 6
         assert out[("nmf", "filtered-sdr", 30, 0.1)].mean_db == 1.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="no reports"):
-            aggregate([])
-
-    def test_bad_variant_rejected(self):
-        with pytest.raises(ValueError, match="variant"):
-            SdrReport("ntf", "bss-eval", 30, 100.0, 0, 1.0)
+        assert out[("nmf", "si-sdr", 30, 0.2)].mean_db == 1.5
+        assert out[("ntf", "filtered-sdr", 30, 100.0)] == AggregateStats(
+            4.0, pytest.approx(np.sqrt(2.0)), 2)
+        assert out[("ntf", "si-sdr", 30, 100.0)].mean_db == 5.0

@@ -35,8 +35,8 @@ from spotform.harness import (
     separate,
 )
 from spotform.roomsim import default_scene
-from spotform.signal import StftConfig, Waveform, read_wav, stft
-from spotform.synth import write_demo_sources
+from spotform.signal import StftConfig, Waveform, read_wav, stft, write_wav
+from spotform.synth import default_voices, write_demo_sources
 
 
 @pytest.fixture(scope="module")
@@ -203,8 +203,7 @@ class TestRunSingle:
     def test_nmf_zero_threshold_reduces_to_fused_bf(self, small_cfg, state):
         # tau = 0 keeps every basis (V stays positive), so the mask is all
         # ones and the fused output is just delay-and-sum of the BF outputs
-        row, _, fused = _run_task(small_cfg, state, ("nmf", 4, 0.0, 0),
-                                  keep_waves=True)
+        row, _, fused = _run_task(small_cfg, state, ("nmf", 4, 0.0, 0))
         assert row.status == "ok"
         want = delay_and_sum(state.bf_waves)
         assert_allclose(fused.samples, want.samples, atol=1e-9)
@@ -229,8 +228,7 @@ class TestRunSingle:
                                       hyper):
         cfg = ntf_cfg if method == "ntf" else small_cfg
         k = cfg.k_grid[0]
-        row, waves, fused = _run_task(cfg, state, (method, k, hyper, 1),
-                                      keep_waves=True)
+        row, waves, fused = _run_task(cfg, state, (method, k, hyper, 1))
         assert row.status == "ok"
         seed = derive_seed(cfg.master_seed, method, k, hyper, 1)
         want_waves, want_fused = separate(
@@ -247,6 +245,32 @@ class TestRunSingle:
         assert "array index" in row.reason
         assert np.isnan(row.sdr_filtered_db)
         assert paths == []
+
+
+class TestSeparate:
+    @pytest.mark.parametrize("n_arrays", [2, 3])
+    @pytest.mark.parametrize("k", [6, 30])
+    def test_ntf_estimates_follow_array_order(self, n_arrays, k):
+        # every array hears the target plus an interferer of its own; the
+        # NTF's classes permute with the arrays, so its estimates do too.
+        # NMF draws its init in concatenation order and is not equivariant,
+        # and the fused output moves with the anchor array.
+        voices = default_voices(n_arrays + 1, 1.2, 16000)
+        cfg = StftConfig()
+        specs = [stft(Waveform(voices[0].samples + 2.0 * v.samples, 16000),
+                      cfg).values for v in voices[1:]]
+        Y = BfOutputTensor(np.stack(specs, axis=2), cfg, 16000,
+                           len(voices[0]))
+        perm = [1, 0] if n_arrays == 2 else [2, 0, 1]
+        Yp = replace(Y, values=Y.values[:, :, perm])
+        _, assignment = _fit(Y, "ntf", k, 100.0, 3, 40, 20)
+        assert 0 < assignment.h.sum() < k
+        waves, _ = separate(Y, "ntf", k, 100.0, 3, 40, 20)
+        moved, _ = separate(Yp, "ntf", k, 100.0, 3, 40, 20)
+        for got, a in zip(moved, perm, strict=True):
+            want = waves[a].samples
+            assert (np.linalg.norm(got.samples - want)
+                    <= 1e-9 * np.linalg.norm(want))
 
 
 class TestRunExperiment:
@@ -336,10 +360,19 @@ class TestRunExperiment:
             (4, derive_seed(tau_cfg.master_seed, "nmf", 4, 0.0, s))
             for s in range(2))
 
-    def test_run_single_reproduces_every_nmf_row(self, tau_cfg, tau_sweep,
-                                                 state):
-        for want in tau_sweep:
-            _, row = run_single(tau_cfg, "nmf", want.k, want.tau_or_mu,
+    @pytest.mark.parametrize("method", ["bf-only", "nmf", "ntf"])
+    def test_run_single_reproduces_every_row(self, method, small_cfg, tau_cfg,
+                                             tau_sweep, ntf_cfg, state,
+                                             tmp_path):
+        if method == "nmf":
+            cfg, rows = tau_cfg, tau_sweep
+        else:
+            base = ntf_cfg if method == "ntf" else small_cfg
+            cfg = replace(base, methods=(method,), out_dir=str(tmp_path))
+            rows, _ = run_experiment(cfg)
+        assert rows and all(r.method == method for r in rows)
+        for want in rows:
+            _, row = run_single(cfg, method, want.k, want.tau_or_mu,
                                 want.seed, state=state)
             assert row.status == want.status == "ok"
             assert row.sdr_filtered_db == want.sdr_filtered_db
@@ -358,8 +391,9 @@ class TestRunExperiment:
         rows, _ = run_experiment(replace(tau_cfg, workers=2, timeout_s=1e-6,
                                          out_dir=str(tmp_path)))
         assert len(rows) == 6
+        # no row finished, so no runtime was measured
         assert all(r.status == "failed" and r.reason == "timeout"
-                   for r in rows)
+                   and np.isnan(r.runtime_ms) for r in rows)
 
     def test_missing_combination_listed_in_plot_manifest(self, small_cfg,
                                                          experiment, tmp_path):
@@ -378,6 +412,13 @@ class TestCli:
         out = capsys.readouterr().out
         assert f"filtered_sdr_db={filtered_sdr(read_wav(sources[0]), read_wav(sources[0])):.4f}" in out
         assert "si_sdr_db=" in out
+
+    def test_eval_rejects_mismatched_rates(self, sources, tmp_path):
+        other = tmp_path / "8k.wav"
+        write_wav(other, Waveform(read_wav(sources[0]).samples, 8000))
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", str(other), sources[0]])
+        assert "rate" in str(exc.value.code)
 
     def test_simulate_writes_rirs_and_observations(self, tmp_path, capsys):
         code = main(["simulate", "--arrays", "1", "--duration", "0.4",

@@ -207,7 +207,9 @@ class TestNmfWiener:
         model = NmfModel(
             rng.uniform(0.1, 1, (6, 2)), rng.uniform(0.1, 1, (8, 2)), 0
         )
-        out = nmf_wiener(model, FrameMask(np.zeros((4, 2), dtype=np.int8)), Y)
+        with pytest.warns(UserWarning, match="no basis kept"):
+            out = nmf_wiener(model, FrameMask(np.zeros((4, 2), dtype=np.int8)),
+                             Y)
         for a in range(2):
             assert np.all(out[a].values == 0)
 

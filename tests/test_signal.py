@@ -225,12 +225,16 @@ class TestWavIo:
         assert_allclose(y.samples, x.samples, atol=1e-7)
 
     def test_pcm16_roundtrip(self, tmp_path):
+        # recordings arrive as 16-bit PCM; spotform itself writes float32 only
+        import scipy.io.wavfile
+
         rng = np.random.default_rng(6)
-        x = Waveform(rng.uniform(-0.5, 0.5, 1000), 16000)
+        x = rng.uniform(-0.5, 0.5, 1000)
         p = tmp_path / "b.wav"
-        write_wav(p, x, fmt="pcm16")
+        scipy.io.wavfile.write(p, 16000, np.round(x * 32768.0).astype(np.int16))
         y = read_wav(p)
-        assert np.max(np.abs(y.samples - x.samples)) < 1.0 / 32768.0
+        assert y.sample_rate == 16000
+        assert np.max(np.abs(y.samples - x)) < 1.0 / 32768.0
 
     def test_multichannel_rejected(self, tmp_path):
         import scipy.io.wavfile
