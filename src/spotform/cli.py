@@ -95,7 +95,11 @@ def _cmd_spotform(args) -> int:
     if any(w.sample_rate != rate for w in waves):
         raise SystemExit("all BF WAVs must share one sample rate")
     n = min(len(w) for w in waves)
-    cfg = StftConfig(sample_rate=rate)
+    try:
+        cfg = StftConfig(sample_rate=rate)
+    except ValueError as exc:
+        raise SystemExit(f"spotform: {rate} Hz WAVs are not supported ({exc}); "
+                         "resample them, e.g. to 16000 Hz") from exc
     specs = [stft(Waveform(w.samples[:n], rate), cfg) for w in waves]
     Y = BfOutputTensor(np.stack([s.values for s in specs], axis=2), cfg, rate, n)
     estimates, fused = separate(Y, args.method, args.k, args.hyper, args.seed,

@@ -13,6 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
 
 from spotform.signal import Waveform
@@ -62,7 +63,43 @@ def si_sdr(estimate: Waveform, reference: Waveform) -> float:
     return _ratio_db(float(np.sum(target**2)), float(np.sum((e - target) ** 2)))
 
 
-def filtered_sdr(estimate: Waveform, reference: Waveform,
+@dataclass(frozen=True)
+class PreparedReference:
+    """A reference with what every `filtered_sdr` against it reuses.
+
+    `spectrum` is the real FFT of the reference at `fft_size`, the next fast
+    length of at least n + filter_taps - 1, so every correlation and
+    convolution below is linear (no wrap-around).  `auto` holds the
+    autocorrelation lags 0..filter_taps-1.  Made by `prepare_reference`.
+    """
+
+    waveform: Waveform
+    filter_taps: int
+    fft_size: int
+    spectrum: np.ndarray
+    auto: np.ndarray
+
+
+def prepare_reference(reference: Waveform, filter_taps: int
+                      ) -> PreparedReference:
+    """Spectrum and autocorrelation of `reference`, for scoring many estimates."""
+    if filter_taps < 1:
+        raise ValueError("filter_taps must be >= 1")
+    s = reference.samples
+    if not np.any(s):
+        raise ValueError("silent reference")
+    n = s.shape[0]
+    size = scipy.fft.next_fast_len(n + filter_taps - 1, real=True)
+    spectrum = scipy.fft.rfft(s, size)
+    # copied, so that it does not keep the whole inverse FFT alive
+    auto = scipy.fft.irfft(np.abs(spectrum) ** 2, size)[:filter_taps].copy()
+    auto[n:] = 0.0  # lags past the signal are zero, not rounding noise
+    spectrum.flags.writeable = auto.flags.writeable = False
+    return PreparedReference(reference, filter_taps, size, spectrum, auto)
+
+
+def filtered_sdr(estimate: Waveform,
+                 reference: Waveform | PreparedReference,
                  filter_taps: int = 512) -> float:
     """SDR in dB after fitting a least-squares FIR from reference to estimate.
 
@@ -70,20 +107,38 @@ def filtered_sdr(estimate: Waveform, reference: Waveform,
     matrix is symmetric Toeplitz and Levinson recursion applies.  Degenerate
     references (near-periodic, or shorter than the filter) make it singular;
     a small ridge is then added and a warning emitted.
-    """
-    if filter_taps < 1:
-        raise ValueError("filter_taps must be >= 1")
-    import scipy.signal  # lazy: about 1 s to import, unused by `spotform`
 
+    `reference` may be a `PreparedReference` made with the same
+    `filter_taps` (a different count raises `ValueError`); a `Waveform` is
+    prepared here.  Each call then costs four FFTs of the prepared size: the
+    estimate's spectrum, the filter_taps cross-correlation lags, the
+    filter's spectrum, and the projection.  An estimate shorter than the
+    prepared reference is scored on the common part, prepared anew.
+    """
+    if isinstance(reference, PreparedReference):
+        if reference.filter_taps != filter_taps:
+            raise ValueError(
+                f"reference prepared for {reference.filter_taps} filter_taps, "
+                f"scored with {filter_taps}"
+            )
+        prepared, reference = reference, reference.waveform
+    else:
+        prepared = None
     e, s = _common_part(estimate, reference)
     n = s.shape[0]
-    auto = scipy.signal.correlate(s, s, mode="full")[n - 1: n - 1 + filter_taps]
-    cross = scipy.signal.correlate(e, s, mode="full")[n - 1: n - 1 + filter_taps]
-    auto = np.pad(auto, (0, filter_taps - auto.shape[0]))
-    cross = np.pad(cross, (0, filter_taps - cross.shape[0]))
+    if prepared is None or n < len(reference):
+        prepared = prepare_reference(Waveform(s, reference.sample_rate),
+                                     filter_taps)
+    size, spectrum = prepared.fft_size, prepared.spectrum
+    cross = scipy.fft.irfft(scipy.fft.rfft(e, size) * np.conj(spectrum),
+                            size)[:filter_taps]
+    cross[n:] = 0.0
 
-    g = _solve_normal_equations(auto, cross)
-    proj = scipy.signal.fftconvolve(s, g)[:n] if filter_taps > 1 else g[0] * s
+    g = _solve_normal_equations(prepared.auto, cross)
+    if filter_taps > 1:
+        proj = scipy.fft.irfft(spectrum * scipy.fft.rfft(g, size), size)[:n]
+    else:
+        proj = g[0] * s
     return _ratio_db(float(np.sum(proj**2)), float(np.sum((e - proj) ** 2)))
 
 

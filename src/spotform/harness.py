@@ -36,7 +36,14 @@ from pathlib import Path
 import numpy as np
 
 from spotform.beamform import BfOutputTensor, delay_and_sum, mvdr, oracle_quantities
-from spotform.evaluate import AggregateStats, aggregate, filtered_sdr, si_sdr
+from spotform.evaluate import (
+    AggregateStats,
+    PreparedReference,
+    aggregate,
+    filtered_sdr,
+    prepare_reference,
+    si_sdr,
+)
 from spotform.nmf import build_concat, fit_nmf, nmf_wiener, threshold_mask
 from spotform.ntf import (
     RegularizationSchedule,
@@ -111,6 +118,8 @@ class ExperimentConfig:
             raise ValueError("tau grid is empty but nmf selected")
         if "ntf" in self.methods and not self.mu_grid:
             raise ValueError("mu grid is empty but ntf selected")
+        if self.filter_taps < 1:
+            raise ValueError("filter_taps must be >= 1")
 
     def to_dict(self) -> dict:
         return {
@@ -176,12 +185,22 @@ class ResultRow:
 
 @dataclass
 class PipelineState:
-    """Seed-independent stages shared by every run of a sweep."""
+    """Seed-independent stages shared by every run of a sweep.
+
+    `prepared[a]` is the target's image at array a's reference mic, prepared
+    for `filtered_sdr` at the config's filter_taps, so its spectrum and
+    autocorrelation are computed once per sweep instead of once per row.
+    """
 
     rirs: object
     bf_tensor: BfOutputTensor
     bf_waves: list[Waveform]
-    references: list[Waveform]
+    prepared: list[PreparedReference]
+
+    @property
+    def references(self) -> list[Waveform]:
+        """The reference waveforms, one per array."""
+        return [p.waveform for p in self.prepared]
 
 
 def _fit_key(method: str, k: int, hyper: float, seed_index: int) -> str:
@@ -228,11 +247,12 @@ def prepare_pipeline(cfg: ExperimentConfig) -> PipelineState:
         for a in range(cfg.scene.n_arrays)
     ]
     tgt = cfg.scene.target_index
-    references = [
-        Waveform(obs.images[tgt, a, 0], obs.sample_rate)
+    prepared = [
+        prepare_reference(Waveform(obs.images[tgt, a, 0], obs.sample_rate),
+                          cfg.filter_taps)
         for a in range(cfg.scene.n_arrays)
     ]
-    return PipelineState(rirs, Y, bf_waves, references)
+    return PipelineState(rirs, Y, bf_waves, prepared)
 
 
 def separate(Y: BfOutputTensor, method: str, k: int, hyper: float, seed: int,
@@ -278,7 +298,7 @@ def _extract(Y: BfOutputTensor, method: str, fit, hyper: float
 
 def _execute(cfg: ExperimentConfig, state: PipelineState, method: str,
              k: int, hyper: float, seed_index: int, fits: dict
-             ) -> tuple[list[Waveform], Waveform, Waveform]:
+             ) -> tuple[list[Waveform], Waveform, PreparedReference]:
     """Run one method; returns (per-array estimates, fused output, reference).
 
     `fits` maps `_fit_key` to a `_fit` result; a missing fit is made and
@@ -289,20 +309,20 @@ def _execute(cfg: ExperimentConfig, state: PipelineState, method: str,
         if not 0 <= array < cfg.scene.n_arrays:
             raise ValueError(f"bf-only hyper must be an array index, got {hyper}")
         wave = state.bf_waves[array]
-        return [wave], wave, state.references[array]
+        return [wave], wave, state.prepared[array]
     key = _fit_key(method, k, hyper, seed_index)
     if key not in fits:
         stream_seed = derive_seed(cfg.master_seed, method, k, hyper, seed_index)
         fits[key] = _fit(state.bf_tensor, method, k, hyper, stream_seed,
                          cfg.iterations, cfg.warmup_iterations)
     waves, fused = _extract(state.bf_tensor, method, fits[key], hyper)
-    return waves, fused, state.references[0]
+    return waves, fused, state.prepared[0]
 
 
 def _score(cfg: ExperimentConfig, fused: Waveform,
-           reference: Waveform) -> tuple[float, float]:
+           reference: PreparedReference) -> tuple[float, float]:
     return (filtered_sdr(fused, reference, cfg.filter_taps),
-            si_sdr(fused, reference))
+            si_sdr(fused, reference.waveform))
 
 
 def _run_task(cfg: ExperimentConfig, state: PipelineState,

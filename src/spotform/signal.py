@@ -147,15 +147,18 @@ def istft(S: ComplexSpectrogram, cfg: StftConfig, length: int) -> Waveform:
     win_len, hop = cfg.window_length, cfg.hop
     window = _hann_periodic(win_len)
     frames = np.fft.irfft(S.values.T, n=win_len, axis=1) * window[None, :]
-    n_frames = S.n_frames
-    total = (n_frames - 1) * hop + win_len
-    out = np.zeros(total, dtype=np.float64)
-    norm = np.zeros(total, dtype=np.float64)
-    wsq = window**2
-    for j in range(n_frames):
-        out[j * hop : j * hop + win_len] += frames[j]
-        norm[j * hop : j * hop + win_len] += wsq
-    out /= np.maximum(norm, EPS)
+    n_frames, offsets = S.n_frames, win_len // hop
+    # hop divides the window, so frame j's chunk r lands on hop block j + r;
+    # adding offsets last-to-first gives each block its frames in the order
+    # of a frame-by-frame overlap-add, bit for bit
+    chunks = frames.reshape(n_frames, offsets, hop)
+    wsq = (window**2).reshape(offsets, hop)
+    out = np.zeros((n_frames + offsets - 1, hop), dtype=np.float64)
+    norm = np.zeros_like(out)
+    for r in reversed(range(offsets)):
+        out[r : r + n_frames] += chunks[:, r]
+        norm[r : r + n_frames] += wsq[r]
+    out = out.reshape(-1) / np.maximum(norm.reshape(-1), EPS)
     pad_head = win_len - hop
     y = out[pad_head : pad_head + length]
     if len(y) < length:

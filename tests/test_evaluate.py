@@ -7,6 +7,7 @@ against direct energy-ratio arithmetic.
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from spotform.evaluate import (
@@ -15,6 +16,7 @@ from spotform.evaluate import (
     _solve_normal_equations,
     aggregate,
     filtered_sdr,
+    prepare_reference,
     si_sdr,
 )
 from spotform.harness import ResultRow, _aggregate_rows
@@ -25,6 +27,19 @@ FS = 16000
 
 def w(x, rate=FS):
     return Waveform(x, rate)
+
+
+def dense_oracle_sdr(e, s, taps):
+    """filtered_sdr from the explicit zero-padded convolution matrix."""
+    n = min(len(e), len(s))
+    e, s = e[:n], s[:n]
+    # (n + taps - 1) x taps; column m is s delayed by m samples
+    X = np.zeros((n + taps - 1, taps))
+    for m in range(taps):
+        X[m: m + n, m] = s
+    g, *_ = np.linalg.lstsq(X, np.pad(e, (0, taps - 1)), rcond=None)
+    proj = np.convolve(s, g)[:n]
+    return 10.0 * np.log10(np.sum(proj**2) / np.sum((e - proj) ** 2))
 
 
 def orthogonal_noise(rng, reference, snr_db):
@@ -115,15 +130,50 @@ class TestFilteredSdr:
         n, taps = 64, 8
         s = rng.standard_normal(n)
         e = rng.standard_normal(n)
-        # explicit zero-padded convolution matrix, (n + taps - 1) x taps
-        X = np.zeros((n + taps - 1, taps))
-        for m in range(taps):
-            X[m: m + n, m] = s
-        g, *_ = np.linalg.lstsq(X, np.pad(e, (0, taps - 1)), rcond=None)
-        proj = np.convolve(s, g)[:n]
-        want = 10.0 * np.log10(np.sum(proj**2) / np.sum((e - proj) ** 2))
+        want = dense_oracle_sdr(e, s, taps)
         assert filtered_sdr(w(e), w(s), filter_taps=taps) == pytest.approx(want,
                                                                      abs=1e-9)
+
+    # filter longer than the signal; estimate shorter, then longer, than the
+    # reference (scored on the common part)
+    @pytest.mark.parametrize("n_e, n_s, taps", [(6, 6, 8), (20, 20, 32),
+                                                (50, 64, 8), (80, 64, 8),
+                                                (40, 64, 100), (90, 64, 100)])
+    def test_dense_oracle_beyond_taps_and_lengths(self, n_e, n_s, taps):
+        rng = np.random.default_rng(n_e + n_s + taps)
+        s = rng.standard_normal(n_s)
+        e = rng.standard_normal(n_e)
+        want = dense_oracle_sdr(e, s, taps)
+        assert filtered_sdr(w(e), w(s), taps) == pytest.approx(want, abs=1e-9)
+        prepared = prepare_reference(w(s), taps)
+        assert filtered_sdr(w(e), prepared, taps) == pytest.approx(want,
+                                                                   abs=1e-9)
+
+    def test_prepared_reference_scores_like_the_waveform(self):
+        # one prepared reference serves every estimate, with the same result
+        # as preparing it per call, whatever the estimate's length
+        rng = np.random.default_rng(14)
+        s = rng.standard_normal(4000)
+        prepared = prepare_reference(w(s), 64)
+        estimates = [0.6 * np.roll(s, d) + rng.standard_normal(4000)
+                     for d in range(5)]
+        estimates += [rng.standard_normal(n) for n in (3000, 5000, 10)]
+        for e in estimates:
+            assert filtered_sdr(w(e), prepared, 64) == filtered_sdr(w(e), w(s),
+                                                                    64)
+
+    def test_prepared_reference_rejects_other_taps(self):
+        rng = np.random.default_rng(15)
+        s = rng.standard_normal(500)
+        prepared = prepare_reference(w(s), 64)
+        with pytest.raises(ValueError, match="filter_taps"):
+            filtered_sdr(w(s), prepared, 32)
+        with pytest.raises(ValueError, match="filter_taps"):
+            filtered_sdr(w(s), prepared)
+
+    def test_prepare_rejects_silent_reference(self):
+        with pytest.raises(ValueError, match="silent reference"):
+            prepare_reference(w(np.zeros(10)), 4)
 
     def test_never_below_si_sdr(self):
         for seed in range(10):
@@ -135,11 +185,32 @@ class TestFilteredSdr:
     def test_rejects_zero_taps(self):
         with pytest.raises(ValueError, match="filter_taps"):
             filtered_sdr(w(np.ones(10)), w(np.ones(10)), filter_taps=0)
+        with pytest.raises(ValueError, match="filter_taps"):
+            prepare_reference(w(np.ones(10)), 0)
 
     def test_singular_normal_equations_warn_and_ridge(self):
         with pytest.warns(UserWarning, match="ill-conditioned"):
             g = _solve_normal_equations(np.ones(4), np.array([1.0, 2.0, 3.0, 4.0]))
         assert np.all(np.isfinite(g))
+
+    def test_prepared_reference_reaches_ridge_and_dense_fallback(
+            self, monkeypatch):
+        # with Levinson failing, a prepared (read-only) autocorrelation goes
+        # through the ridge and the dense solve and scores as before
+        rng = np.random.default_rng(16)
+        s = rng.standard_normal(2000)
+        e = 0.8 * s + 0.3 * rng.standard_normal(2000)
+        prepared = prepare_reference(w(s), 32)
+        want = filtered_sdr(w(e), prepared, 32)
+
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular")
+
+        monkeypatch.setattr(scipy.linalg, "solve_toeplitz", broken)
+        with pytest.warns(UserWarning, match="ill-conditioned"):
+            got = filtered_sdr(w(e), prepared, 32)
+        assert got == pytest.approx(want, abs=1e-6)
+        assert not prepared.auto.flags.writeable
 
 
 @pytest.mark.parametrize("metric", [si_sdr, filtered_sdr])

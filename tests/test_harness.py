@@ -18,7 +18,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import spotform
-from spotform import harness
+from spotform import evaluate, harness
 from spotform.beamform import BfOutputTensor, delay_and_sum
 from spotform.cli import main
 from spotform.evaluate import filtered_sdr, si_sdr
@@ -140,6 +140,15 @@ class TestConfig:
             ExperimentConfig(scene=default_scene(2, 0.0),
                              source_paths=sources, iterations=5,
                              warmup_iterations=6)
+
+    def test_filter_taps_below_one_rejected(self, small_cfg):
+        # rejected before any fit, not at the scoring of every row
+        with pytest.raises(ValueError, match="filter_taps"):
+            replace(small_cfg, filter_taps=0)
+        d = small_cfg.to_dict()
+        d["filter_taps"] = -3
+        with pytest.raises(ValueError, match="filter_taps"):
+            ExperimentConfig.from_dict(d)
 
 
 class TestSeeding:
@@ -360,6 +369,23 @@ class TestRunExperiment:
             (4, derive_seed(tau_cfg.master_seed, "nmf", 4, 0.0, s))
             for s in range(2))
 
+    def test_each_reference_prepared_once_per_sweep(self, tau_cfg, tmp_path,
+                                                    monkeypatch):
+        calls = []
+        prepare = evaluate.prepare_reference
+
+        def counting_prepare(reference, filter_taps):
+            calls.append(filter_taps)
+            return prepare(reference, filter_taps)
+
+        monkeypatch.setattr(evaluate, "prepare_reference", counting_prepare)
+        monkeypatch.setattr(harness, "prepare_reference", counting_prepare)
+        cfg = replace(tau_cfg, methods=("bf-only", "nmf"), out_dir=str(tmp_path))
+        rows, _ = run_experiment(cfg)
+        # bf-only scores against both arrays' references, nmf against array 0
+        assert len(rows) == 10 and all(r.status == "ok" for r in rows)
+        assert calls == [cfg.filter_taps] * cfg.scene.n_arrays
+
     @pytest.mark.parametrize("method", ["bf-only", "nmf", "ntf"])
     def test_run_single_reproduces_every_row(self, method, small_cfg, tau_cfg,
                                              tau_sweep, ntf_cfg, state,
@@ -464,6 +490,19 @@ class TestCli:
             # the CLI writes float32 WAVs
             np.testing.assert_array_equal(g.samples,
                                           w.samples.astype(np.float32))
+
+    def test_spotform_rejects_cd_rate_with_message(self, sources, tmp_path):
+        # a 32 ms window is not a whole number of samples at 44100 Hz
+        paths = []
+        for i, p in enumerate(sources[:2]):
+            paths.append(str(tmp_path / f"cd{i}.wav"))
+            write_wav(paths[-1], Waveform(read_wav(p).samples, 44100))
+        with pytest.raises(SystemExit) as exc:
+            main(["spotform", *paths, "--method", "nmf", "--hyper", "0.01",
+                  "--iterations", "4", "--out", str(tmp_path / "spot")])
+        msg = str(exc.value.code)
+        assert msg.startswith("spotform: ") and "44100 Hz" in msg
+        assert not (tmp_path / "spot").exists()
 
     def test_spotform_does_not_import_scipy_signal(self, sources, tmp_path):
         # scipy.signal takes about a second to import; `spotform` needs none

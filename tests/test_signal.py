@@ -75,6 +75,40 @@ class TestRoundtrip:
             istft(S, other, 1000)
 
 
+def loop_istft(S, cfg, length):
+    """Frame-by-frame weighted overlap-add: the reference for `istft`."""
+    win_len, hop = cfg.window_length, cfg.hop
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(win_len) / win_len)
+    frames = np.fft.irfft(S.values.T, n=win_len, axis=1) * window[None, :]
+    total = (S.n_frames - 1) * hop + win_len
+    out = np.zeros(total)
+    norm = np.zeros(total)
+    for j in range(S.n_frames):
+        out[j * hop: j * hop + win_len] += frames[j]
+        norm[j * hop: j * hop + win_len] += window**2
+    out /= np.maximum(norm, 1e-12)
+    y = out[win_len - hop: win_len - hop + length]
+    return np.pad(y, (0, length - len(y)))
+
+
+class TestIstftOverlapAdd:
+    # hop 16 ms adds 2 chunks per output block, 8 ms adds 4, 32 ms adds 1
+    @pytest.mark.parametrize("hop_ms", [16.0, 8.0, 32.0])
+    @pytest.mark.parametrize("n_frames", [1, 2, 7, 158])
+    def test_matches_frame_loop_bit_for_bit(self, hop_ms, n_frames):
+        cfg = StftConfig(hop_ms=hop_ms)
+        rng = np.random.default_rng(n_frames)
+        shape = (cfg.n_bins, n_frames)
+        S = ComplexSpectrogram(rng.standard_normal(shape)
+                               + 1j * rng.standard_normal(shape), cfg)
+        covered = n_frames * cfg.hop
+        # shorter than the frames cover, exactly covered, and zero-padded
+        for length in (0, 10, covered // 2, covered, covered + 3 * cfg.window_length):
+            got = istft(S, cfg, length)
+            assert got.samples.shape == (length,)
+            assert np.array_equal(got.samples, loop_istft(S, cfg, length)), length
+
+
 class TestFrameCount:
     @given(n=st.integers(min_value=1, max_value=100000))
     @settings(max_examples=50, deadline=None)
