@@ -93,7 +93,9 @@ def _cmd_spotform(args) -> int:
     waves = [read_wav(p) for p in args.bf_wavs]
     rate = waves[0].sample_rate
     if any(w.sample_rate != rate for w in waves):
-        raise SystemExit("all BF WAVs must share one sample rate")
+        rates = ", ".join(f"{w.sample_rate} Hz" for w in waves)
+        raise SystemExit(f"spotform: the BF WAVs must share one sample rate, "
+                         f"got {rates}; resample them to one rate")
     n = min(len(w) for w in waves)
     try:
         cfg = StftConfig(sample_rate=rate)

@@ -13,8 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
-import scipy.linalg
 
 from spotform.signal import Waveform
 
@@ -83,6 +81,13 @@ class PreparedReference:
 def prepare_reference(reference: Waveform, filter_taps: int
                       ) -> PreparedReference:
     """Spectrum and autocorrelation of `reference`, for scoring many estimates."""
+    # lazy: scipy.fft and scipy.linalg take about 0.3 s to import, unused by
+    # `spotform`.  scipy.linalg is imported here although only the solve
+    # uses it: a sweep prepares its references before the pool forks, so
+    # the workers inherit both modules instead of importing them each.
+    import scipy.fft
+    import scipy.linalg  # noqa: F401
+
     if filter_taps < 1:
         raise ValueError("filter_taps must be >= 1")
     s = reference.samples
@@ -104,9 +109,14 @@ def filtered_sdr(estimate: Waveform,
     """SDR in dB after fitting a least-squares FIR from reference to estimate.
 
     The normal equations use the full-signal correlations, so the system
-    matrix is symmetric Toeplitz and Levinson recursion applies.  Degenerate
-    references (near-periodic, or shorter than the filter) make it singular;
-    a small ridge is then added and a warning emitted.
+    matrix is symmetric Toeplitz and Levinson recursion applies.  It is the
+    Gram matrix of the zero-padded reference's shifts, so it is positive
+    definite for any nonzero reference, one shorter than the filter too.
+    Only a reference whose spectrum falls to rounding level over part of the
+    band (e.g. a short, very smooth pulse scored with 512 taps) makes it
+    singular to working precision.  When Levinson then fails, or leaves a
+    residual above 1e-8 of the cross-correlation, a small ridge is added and
+    a warning emitted.
 
     `reference` may be a `PreparedReference` made with the same
     `filter_taps` (a different count raises `ValueError`); a `Waveform` is
@@ -115,6 +125,8 @@ def filtered_sdr(estimate: Waveform,
     filter's spectrum, and the projection.  An estimate shorter than the
     prepared reference is scored on the common part, prepared anew.
     """
+    import scipy.fft  # lazy: see prepare_reference
+
     if isinstance(reference, PreparedReference):
         if reference.filter_taps != filter_taps:
             raise ValueError(
@@ -143,6 +155,8 @@ def filtered_sdr(estimate: Waveform,
 
 
 def _try_levinson(auto: np.ndarray, cross: np.ndarray) -> np.ndarray | None:
+    import scipy.linalg  # lazy: see prepare_reference
+
     try:
         with np.errstate(all="ignore"):
             g = scipy.linalg.solve_toeplitz(auto, cross)
@@ -158,6 +172,8 @@ def _try_levinson(auto: np.ndarray, cross: np.ndarray) -> np.ndarray | None:
 
 
 def _solve_normal_equations(auto: np.ndarray, cross: np.ndarray) -> np.ndarray:
+    import scipy.linalg  # lazy: see prepare_reference
+
     g = _try_levinson(auto, cross)
     if g is not None:
         return g

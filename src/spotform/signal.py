@@ -9,10 +9,10 @@ is centered near sample 0, giving exactly ``ceil(n_samples / hop)`` frames.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io.wavfile
 
 EPS = 1e-12
 
@@ -200,22 +200,113 @@ def resample(x: Waveform, target_rate: int) -> Waveform:
     return Waveform(y, target_rate)
 
 
+_WAVE_FORMAT_PCM = 0x0001
+_WAVE_FORMAT_IEEE_FLOAT = 0x0003
+_WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+# bytes 4..15 of every KSDATAFORMAT_SUBTYPE GUID; bytes 0..3 hold the plain
+# format tag (RFC 2361)
+_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def _read_fmt(body: bytes, path) -> tuple[int, int, int, int, int]:
+    """(format tag, channels, rate, block align, bits) of a fmt chunk."""
+    if len(body) < 16:
+        raise ValueError(f"malformed fmt chunk in {path}")
+    tag, channels, rate, byte_rate, align, bits = struct.unpack(
+        "<HHIIHH", body[:16])
+    if tag == _WAVE_FORMAT_EXTENSIBLE:
+        if len(body) < 18 or struct.unpack("<H", body[16:18])[0] < 22:
+            raise ValueError(f"malformed fmt chunk in {path}")
+        guid = body[24:40]
+        if guid[4:] == _GUID_TAIL:
+            tag = struct.unpack("<I", guid[:4])[0]
+    if tag == _WAVE_FORMAT_PCM and byte_rate != rate * align:
+        raise ValueError(f"WAV header is invalid: byte rate {byte_rate} != "
+                         f"rate {rate} x block align {align} in {path}")
+    return tag, channels, rate, align, bits
+
+
+def _sample_dtype(tag: int, align: int, bits: int, path) -> str:
+    """numpy dtype of one mono sample; '<i3' names 24-bit PCM."""
+    if tag == _WAVE_FORMAT_PCM:
+        if bits <= 8:
+            raise ValueError(f"unsupported WAV sample format uint8 in {path}")
+        if align in (2, 3, 4):
+            return f"<i{align}"
+        raise ValueError(
+            f"unsupported WAV sample format int{8 * align} in {path}")
+    if tag == _WAVE_FORMAT_IEEE_FLOAT:
+        if bits in (32, 64) and align in (4, 8):
+            return f"<f{align}"
+        raise ValueError(
+            f"unsupported WAV sample format {bits}-bit float in {path}")
+    raise ValueError(f"unsupported WAV format tag 0x{tag:04x} in {path}")
+
+
 def read_wav(path) -> Waveform:
-    """Read a mono RIFF WAV (16-bit PCM or 32/64-bit float)."""
-    rate, data = scipy.io.wavfile.read(path)
-    if data.ndim != 1:
-        raise ValueError(f"multichannel WAV rejected: {path}")
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.int32:
-        samples = data.astype(np.float64) / 2147483648.0
-    elif data.dtype in (np.float32, np.float64):
-        samples = data.astype(np.float64)
-    else:
-        raise ValueError(f"unsupported WAV sample format {data.dtype} in {path}")
+    """Read a mono WAV: 16, 24 or 32-bit PCM, or 32 or 64-bit float.
+
+    PCM is scaled to [-1, 1) by its full scale (2^15, 2^23 or 2^31).  RIFF
+    and RF64 files are read; chunks other than fmt and data are skipped.
+    Multichannel files, big-endian (RIFX) files and other sample formats
+    (8 or 64-bit PCM, compressed formats) raise `ValueError`.
+    """
+    with open(path, "rb") as f:
+        magic, _, form = struct.unpack("<4sI4s", f.read(12).ljust(12, b"\0"))
+        if magic not in (b"RIFF", b"RF64") or form != b"WAVE":
+            raise ValueError(f"not a little-endian RIFF WAVE file: {path}")
+        fmt = rf64_size = None
+        while True:
+            header = f.read(8)
+            if len(header) < 8:
+                raise ValueError(f"no data chunk in {path}")
+            chunk, size = struct.unpack("<4sI", header)
+            if chunk == b"data":
+                break
+            if chunk == b"fmt ":
+                fmt = _read_fmt(f.read(size), path)
+            elif chunk == b"ds64" and magic == b"RF64":
+                ds64 = f.read(size)
+                if len(ds64) < 16:
+                    raise ValueError(f"malformed ds64 chunk in {path}")
+                rf64_size = struct.unpack("<Q", ds64[8:16])[0]
+            else:
+                f.seek(size, 1)
+            f.seek(size & 1, 1)  # chunks are padded to an even size
+        if fmt is None:
+            raise ValueError(f"no fmt chunk before the data in {path}")
+        tag, channels, rate, align, bits = fmt
+        if channels != 1:
+            raise ValueError(f"multichannel WAV rejected: {path}")
+        dtype = _sample_dtype(tag, align, bits, path)
+        if rf64_size is not None and size == 0xFFFFFFFF:
+            size = rf64_size
+        if dtype == "<i3":
+            # left-justified into int32, so it scales like 32-bit PCM
+            raw = np.fromfile(f, np.uint8, count=size // 3 * 3)
+            wide = np.zeros((raw.size // 3, 4), dtype=np.uint8)
+            wide[:, 1:] = raw.reshape(-1, 3)
+            data = wide.view("<i4")[:, 0]
+        else:
+            data = np.fromfile(f, dtype, count=size // align)
+    samples = data.astype(np.float64, copy=False)
+    if data.dtype.kind == "i":
+        samples /= float(2 ** (8 * data.dtype.itemsize - 1))
     return Waveform(samples, int(rate))
 
 
 def write_wav(path, x: Waveform) -> None:
-    """Write a mono WAV as 32-bit float."""
-    scipy.io.wavfile.write(path, x.sample_rate, x.samples.astype(np.float32))
+    """Write a mono WAV as 32-bit float: fmt (18 bytes), fact, data."""
+    data = x.samples.astype("<f4")
+    rate = x.sample_rate
+    header = (
+        struct.pack("<4sI4s", b"RIFF", 50 + data.nbytes, b"WAVE")
+        # format tag, channels, rate, byte rate, block align, bits, cbSize
+        + struct.pack("<4sIHHIIHHH", b"fmt ", 18, _WAVE_FORMAT_IEEE_FLOAT, 1,
+                      rate, 4 * rate, 4, 32, 0)
+        + struct.pack("<4sII", b"fact", 4, data.size)
+        + struct.pack("<4sI", b"data", data.nbytes)
+    )
+    with open(path, "wb") as f:
+        f.write(header)
+        f.write(data)

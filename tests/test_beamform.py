@@ -16,6 +16,7 @@ from spotform.beamform import (
     BfOutputTensor,
     NoiseCovarianceSet,
     SteeringSet,
+    _next_fast_len,
     delay_and_sum,
     mvdr,
     mvdr_weights,
@@ -285,6 +286,14 @@ class TestDelayAndSum:
             aligned[-lag:] = y[: n + lag]
         out = delay_and_sum([Waveform(x, FS), Waveform(y, FS)])
         np.testing.assert_array_equal(out.samples, (x + aligned) / 2)
+
+    def test_fft_size_matches_scipy_next_fast_len(self):
+        # the correlation runs at scipy's real-input FFT size, so it is the
+        # arithmetic scipy.signal.correlate does when it picks the FFT
+        import scipy.fft
+
+        for n in [*range(1, 5000), 2**20 + 1, 3**13 + 1, 5**8 + 1, 10**7 + 1]:
+            assert _next_fast_len(n) == scipy.fft.next_fast_len(n, real=True), n
 
     def test_single_input_identity(self):
         x = np.arange(50, dtype=float)

@@ -5,6 +5,8 @@ the explicit zero-padded convolution matrix, and the scale-invariant metric
 against direct energy-ratio arithmetic.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -135,7 +137,9 @@ class TestFilteredSdr:
                                                                      abs=1e-9)
 
     # filter longer than the signal; estimate shorter, then longer, than the
-    # reference (scored on the common part)
+    # reference (scored on the common part).  The zero-padded convolution
+    # matrix of a nonzero reference has full column rank, so none of these
+    # takes the ridge or warns.
     @pytest.mark.parametrize("n_e, n_s, taps", [(6, 6, 8), (20, 20, 32),
                                                 (50, 64, 8), (80, 64, 8),
                                                 (40, 64, 100), (90, 64, 100)])
@@ -144,10 +148,13 @@ class TestFilteredSdr:
         s = rng.standard_normal(n_s)
         e = rng.standard_normal(n_e)
         want = dense_oracle_sdr(e, s, taps)
-        assert filtered_sdr(w(e), w(s), taps) == pytest.approx(want, abs=1e-9)
-        prepared = prepare_reference(w(s), taps)
-        assert filtered_sdr(w(e), prepared, taps) == pytest.approx(want,
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert filtered_sdr(w(e), w(s), taps) == pytest.approx(want,
                                                                    abs=1e-9)
+            prepared = prepare_reference(w(s), taps)
+            assert filtered_sdr(w(e), prepared, taps) == pytest.approx(
+                want, abs=1e-9)
 
     def test_prepared_reference_scores_like_the_waveform(self):
         # one prepared reference serves every estimate, with the same result
@@ -187,6 +194,16 @@ class TestFilteredSdr:
             filtered_sdr(w(np.ones(10)), w(np.ones(10)), filter_taps=0)
         with pytest.raises(ValueError, match="filter_taps"):
             prepare_reference(w(np.ones(10)), 0)
+
+    def test_reference_flat_in_part_of_the_band_reaches_ridge(self):
+        # a short, very smooth pulse has a spectrum at rounding level over
+        # most of the band, which leaves the normal equations singular
+        s = np.zeros(4096)
+        s[:200] = np.hanning(200) ** 8
+        e = s + 0.1 * np.random.default_rng(17).standard_normal(4096)
+        with pytest.warns(UserWarning, match="ill-conditioned"):
+            got = filtered_sdr(w(e), w(s), 512)
+        assert np.isfinite(got)
 
     def test_singular_normal_equations_warn_and_ridge(self):
         with pytest.warns(UserWarning, match="ill-conditioned"):

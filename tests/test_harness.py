@@ -504,9 +504,23 @@ class TestCli:
         assert msg.startswith("spotform: ") and "44100 Hz" in msg
         assert not (tmp_path / "spot").exists()
 
+    def test_spotform_rejects_mixed_rates_with_message(self, sources,
+                                                       tmp_path):
+        other = tmp_path / "8k.wav"
+        write_wav(other, Waveform(read_wav(sources[1]).samples, 8000))
+        with pytest.raises(SystemExit) as exc:
+            main(["spotform", sources[0], str(other), "--method", "nmf",
+                  "--hyper", "0.01", "--iterations", "4",
+                  "--out", str(tmp_path / "spot")])
+        msg = str(exc.value.code)
+        assert msg.startswith("spotform: ")
+        assert "16000 Hz" in msg and "8000 Hz" in msg
+        assert not (tmp_path / "spot").exists()
+
     def test_spotform_does_not_import_scipy_signal(self, sources, tmp_path):
-        # scipy.signal takes about a second to import; `spotform` needs none
-        # of it, so a cold run of the command must not load it
+        # importing scipy costs most of a short run's time and `spotform`
+        # needs none of it, so a cold run of the command must load no scipy
+        # module at all; scipy.signal, about a second alone, is named too
         script = (
             "import sys\n"
             "from spotform.cli import main\n"
@@ -514,12 +528,37 @@ class TestCli:
             "'--method', 'nmf', '--k', '3', '--hyper', '0.01', "
             f"'--iterations', '4', '--out', {str(tmp_path / 'spot')!r}]) == 0\n"
             "assert 'scipy.signal' not in sys.modules\n"
+            "loaded = [m for m in sys.modules\n"
+            "          if m == 'scipy' or m.startswith('scipy.')]\n"
+            "assert not loaded, loaded\n"
         )
         src = str(Path(spotform.__file__).parents[1])
         subprocess.run([sys.executable, "-c", script], check=True,
                        env=dict(os.environ, PYTHONPATH=src),
                        timeout=120)
         assert (tmp_path / "spot" / "estimate_fused.wav").exists()
+
+    def test_prepared_pipeline_has_scipy_scoring_loaded(self, small_cfg):
+        # the sweep prepares in its parent before the pool forks, so workers
+        # inherit the scoring's scipy modules instead of each importing them
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from spotform.evaluate import prepare_reference\n"
+            "from spotform.harness import ExperimentConfig, prepare_pipeline\n"
+            "from spotform.signal import Waveform\n"
+            "needed = ('scipy.fft', 'scipy.linalg')\n"
+            "assert not any(m in sys.modules for m in needed)\n"
+            "prepare_reference(Waveform(np.ones(8), 16000), 4)\n"
+            "assert all(m in sys.modules for m in needed)\n"
+            f"cfg = ExperimentConfig.from_dict({small_cfg.to_dict()!r})\n"
+            "prepare_pipeline(cfg)\n"
+            "assert all(m in sys.modules for m in needed)\n"
+        )
+        src = str(Path(spotform.__file__).parents[1])
+        subprocess.run([sys.executable, "-c", script], check=True,
+                       env=dict(os.environ, PYTHONPATH=src),
+                       timeout=120)
 
     def test_run_from_config_file(self, small_cfg, tmp_path, capsys):
         cfg = replace(small_cfg, methods=("bf-only",), n_seeds=1,

@@ -1,6 +1,7 @@
 """Tests for STFT analysis/synthesis, resampling, and WAV I/O."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -277,6 +278,149 @@ class TestWavIo:
         scipy.io.wavfile.write(p, 16000, np.zeros((100, 2), dtype=np.float32))
         with pytest.raises(ValueError, match="multichannel"):
             read_wav(p)
+
+
+# bytes 4..15 of the KSDATAFORMAT_SUBTYPE GUIDs
+_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def _fmt(tag, bits, align, channels=1, rate=16000, end="<", extensible=False):
+    body = struct.pack(end + "HHIIHH", 0xFFFE if extensible else tag,
+                       channels, rate, rate * align, align, bits)
+    if extensible:
+        body += struct.pack("<HHII", 22, bits, 4, tag) + _GUID_TAIL
+    return body
+
+
+def _riff(fmt, data, before_data=(), end="<"):
+    """A WAV file's bytes: fmt, the extra (id, body) chunks, then data.
+    `end=">"` makes a big-endian RIFX file."""
+    body = b"WAVE"
+    for cid, chunk in [(b"fmt ", fmt), *before_data, (b"data", data)]:
+        body += struct.pack(end + "4sI", cid, len(chunk)) + chunk
+        body += b"\0" * (len(chunk) % 2)
+    magic = b"RIFX" if end == ">" else b"RIFF"
+    return magic + struct.pack(end + "I", len(body)) + body
+
+
+def _rf64(fmt, data):
+    """RF64: the RIFF and data sizes live in a ds64 chunk, 0xFFFFFFFF in
+    their usual places."""
+    size = 4 + 8 + 28 + 8 + len(fmt) + 8 + len(data)
+    ds64 = struct.pack("<QQQI", size, len(data), len(data) // 2, 0)
+    body = (b"WAVE" + b"ds64" + struct.pack("<I", len(ds64)) + ds64
+            + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", 0xFFFFFFFF) + data)
+    return b"RF64" + struct.pack("<I", 0xFFFFFFFF) + body
+
+
+def _pcm24(values):
+    raw = np.asarray(values, dtype="<i4").view(np.uint8).reshape(-1, 4)
+    return raw[:, :3].tobytes()
+
+
+def _scipy_read(path):
+    """read_wav as it was when built on `scipy.io.wavfile`."""
+    import scipy.io.wavfile
+
+    rate, data = scipy.io.wavfile.read(path)
+    if data.ndim != 1:
+        raise ValueError("multichannel")
+    if data.dtype == np.int16:
+        return rate, data.astype(np.float64) / 32768.0
+    if data.dtype == np.int32:
+        return rate, data.astype(np.float64) / 2147483648.0
+    if data.dtype in (np.float32, np.float64):
+        return rate, data.astype(np.float64)
+    raise ValueError(f"unsupported WAV sample format {data.dtype}")
+
+
+class TestWavMatchesScipy:
+    """read_wav and write_wav against `scipy.io.wavfile`, which they replace:
+    every format read gives the values and scale the scipy-based reader
+    gave, and the writer gives scipy's float32 file byte for byte."""
+
+    RNG = np.random.default_rng(40)
+    INT16 = np.r_[-32768, 32767, 0, RNG.integers(-32768, 32768, 997)]
+    INT24 = np.r_[-(2**23), 2**23 - 1, 0, RNG.integers(-(2**23), 2**23, 997)]
+    INT32 = np.r_[-(2**31), 2**31 - 1, 0, RNG.integers(-(2**31), 2**31, 997)]
+    FLOAT = RNG.uniform(-1.5, 1.5, 1000)
+
+    @pytest.mark.parametrize("dtype", ["int16", "int32", "float32", "float64"])
+    def test_scipy_written_files(self, tmp_path, dtype):
+        import scipy.io.wavfile
+
+        data = {"int16": self.INT16, "int32": self.INT32}.get(dtype, self.FLOAT)
+        p = tmp_path / f"{dtype}.wav"
+        scipy.io.wavfile.write(p, 22050, data.astype(dtype))
+        want_rate, want = _scipy_read(p)
+        got = read_wav(p)
+        assert got.sample_rate == want_rate == 22050
+        np.testing.assert_array_equal(got.samples, want)
+
+    CRAFTED = {
+        "pcm24": _riff(_fmt(1, 24, 3), _pcm24(INT24)),
+        "pcm24-odd-length": _riff(_fmt(1, 24, 3), _pcm24(INT24[:5])),
+        "extensible-pcm16": _riff(_fmt(1, 16, 2, extensible=True),
+                                  INT16.astype("<i2").tobytes()),
+        "extensible-pcm24": _riff(_fmt(1, 24, 3, extensible=True),
+                                  _pcm24(INT24)),
+        "extensible-float32": _riff(_fmt(3, 32, 4, extensible=True),
+                                    FLOAT.astype("<f4").tobytes()),
+        "odd-list-before-data": _riff(
+            _fmt(1, 16, 2), INT16.astype("<i2").tobytes(),
+            before_data=[(b"LIST", b"INFOx"), (b"fact", b"\0" * 4)]),
+        "rf64-pcm16": _rf64(_fmt(1, 16, 2), INT16.astype("<i2").tobytes()),
+    }
+
+    @pytest.mark.parametrize("name", CRAFTED)
+    def test_crafted_files(self, tmp_path, name):
+        p = tmp_path / f"{name}.wav"
+        p.write_bytes(self.CRAFTED[name])
+        want_rate, want = _scipy_read(p)
+        got = read_wav(p)
+        assert got.sample_rate == want_rate == 16000
+        np.testing.assert_array_equal(got.samples, want)
+
+    REJECTED = {
+        "stereo": (_riff(_fmt(3, 32, 8, channels=2),
+                         FLOAT.astype("<f4").tobytes()), "multichannel"),
+        "uint8": (_riff(_fmt(1, 8, 1), bytes(range(256))), "uint8"),
+        "int64": (_riff(_fmt(1, 64, 8), INT32.astype("<i8").tobytes()),
+                  "int64"),
+        "float16": (_riff(_fmt(3, 16, 2), FLOAT.astype("<f2").tobytes()),
+                    "16-bit float"),
+        "alaw": (_riff(_fmt(6, 8, 1), bytes(100)), "format tag 0x0006"),
+        "no-fmt": (b"RIFF" + struct.pack("<I", 12) + b"WAVEdata"
+                   + struct.pack("<I", 0), "no fmt chunk"),
+        "rifx-pcm16": (_riff(_fmt(1, 16, 2, end=">"),
+                             INT16.astype(">i2").tobytes(), end=">"),
+                       "little-endian"),
+        "rifx-float64": (_riff(_fmt(3, 64, 8, end=">"),
+                               FLOAT.astype(">f8").tobytes(), end=">"),
+                         "little-endian"),
+        "not-riff": (b"OggS" + bytes(40), "RIFF WAVE"),
+    }
+
+    @pytest.mark.parametrize("name", REJECTED)
+    def test_rejected(self, tmp_path, name):
+        blob, match = self.REJECTED[name]
+        p = tmp_path / f"{name}.wav"
+        p.write_bytes(blob)
+        with pytest.raises(ValueError):
+            _scipy_read(p)
+        with pytest.raises(ValueError, match=match):
+            read_wav(p)
+
+    @pytest.mark.parametrize("n", [0, 1, 1001])
+    def test_write_matches_scipy_float32_bytes(self, tmp_path, n):
+        import scipy.io.wavfile
+
+        x = Waveform(np.random.default_rng(n).uniform(-1.0, 1.0, n), 44100)
+        ours, theirs = tmp_path / "ours.wav", tmp_path / "theirs.wav"
+        write_wav(ours, x)
+        scipy.io.wavfile.write(theirs, 44100, x.samples.astype(np.float32))
+        assert ours.read_bytes() == theirs.read_bytes()
 
 
 class TestWaveformValidation:
