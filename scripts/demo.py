@@ -4,10 +4,11 @@
 Builds the default scene, renders the mixtures, and writes everything worth
 hearing: the dry target, a reference-mic mixture, each array's beamformer
 output, and the fused estimates from both separation methods, with SDR lines
-on stdout.
+on stdout. Exits 1 when a separation row failed.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 from spotform.harness import (
@@ -51,14 +52,20 @@ def main():
     for a, w in enumerate(state.bf_waves):
         write_wav(out / f"bf_array{a}.wav", w)
 
+    failed = 0
     for method, hyper in (("nmf", args.tau), ("ntf", args.mu)):
         wavs, row = run_single(cfg, method, args.k, hyper, args.seed,
                                state=state)
+        if row.status != "ok":
+            failed += 1
+            print(f"{method}: failed ({row.reason})")
+            continue
         print(f"{method}: filtered {row.sdr_filtered_db:6.2f} dB, "
               f"scale-invariant {row.sdr_si_db:6.2f} dB "
               f"({', '.join(p.name for p in wavs)})")
     print(f"WAVs under {out}/")
+    return 0 if failed == 0 else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -5,10 +5,12 @@ Synthesizes three voices (or takes --sources), runs bf-only / nmf / ntf over
 the hyperparameter grids, and prints the per-method means that the sweep's
 summary.csv also records. The default configuration is the one the acceptance
 suite checks: K in {10, 30, 50}, mu = 100, a 12-point tau grid, 10 seeds.
-Takes a few minutes; --quick shrinks everything for a smoke run.
+Takes a few minutes; --quick shrinks everything for a smoke run. Exits 1
+when any row failed.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 from spotform.harness import ExperimentConfig, run_experiment
@@ -77,7 +79,8 @@ def main():
             st = stats.get(("ntf", "filtered-sdr", k, float(mu)))
             if st:
                 show(f"ntf (K={k}, mu={mu:g})", st.mean_db)
+    return 0 if failed == 0 else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

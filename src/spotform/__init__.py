@@ -15,7 +15,7 @@ beamform  Oracle MVDR beamforming per array, plus a delay-and-sum reference.
 nmf       Baseline: NMF on the concatenated spectrograms + threshold mask.
 ntf       Proposed: NTF with attractor-regularized array factors.
 evaluate  SI-SDR and filtered-reference SDR metrics.
-harness   End-to-end experiment runner and CSV/plot emission.
+harness   End-to-end experiment runner: results, summary and manifest files.
 cli       Command-line front end (`spotform`).
 
 The package exports the entry points below; everything else is imported

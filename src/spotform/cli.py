@@ -38,19 +38,16 @@ def _cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if args.config:
         cfg = ExperimentConfig.load(args.config)
-        scene = cfg.scene
-        sources = load_sources(cfg)
-        source_paths = list(cfg.source_paths)
     else:
         scene = default_scene(n_arrays=args.arrays, t60=args.t60)
         paths = write_demo_sources(out / "sources", scene.n_sources,
                                    args.duration, scene.sample_rate,
                                    seed=args.seed)
-        source_paths = [str(p) for p in paths]
         cfg = ExperimentConfig(scene=scene,
-                               source_paths=tuple(source_paths),
+                               source_paths=tuple(str(p) for p in paths),
                                out_dir=str(out))
-        sources = load_sources(cfg)
+    scene = cfg.scene
+    sources = load_sources(cfg)
     rirs = simulate_rirs(scene)
     save_rirs(out / "rirs.npz", rirs)
     obs = render_observations(sources, rirs)
@@ -60,7 +57,7 @@ def _cmd_simulate(args) -> int:
                       Waveform(obs.mixture[a, m], obs.sample_rate))
     manifest = {
         "scene": scene.to_dict(),
-        "source_paths": source_paths,
+        "source_paths": list(cfg.source_paths),
         "rirs": "rirs.npz",
         "n_arrays": scene.n_arrays,
         "n_mics": obs.mixture.shape[1],
@@ -91,6 +88,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_spotform(args) -> int:
     waves = [read_wav(p) for p in args.bf_wavs]
+    for p, w in zip(args.bf_wavs, waves):
+        if len(w) == 0:
+            raise SystemExit(f"spotform: {p} has no samples")
     rate = waves[0].sample_rate
     if any(w.sample_rate != rate for w in waves):
         rates = ", ".join(f"{w.sample_rate} Hz" for w in waves)

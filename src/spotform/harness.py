@@ -30,7 +30,7 @@ import json
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutTimeout
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +66,6 @@ from spotform.signal import (
 METHODS = ("bf-only", "nmf", "ntf")
 RESULTS_SCHEMA = "spotform/results/v2"
 SUMMARY_SCHEMA = "spotform/summary/v1"
-PLOT_SCHEMA = "spotform/plot/v1"
 
 RESULT_FIELDS = (
     "method", "n_arrays", "t60", "k", "tau_or_mu", "seed",
@@ -118,32 +117,18 @@ class ExperimentConfig:
             raise ValueError("tau grid is empty but nmf selected")
         if "ntf" in self.methods and not self.mu_grid:
             raise ValueError("mu grid is empty but ntf selected")
+        if any(k < 1 for k in self.k_grid):
+            raise ValueError("K must be >= 1")
+        if any(t < 0 for t in self.tau_grid):
+            raise ValueError("tau must be >= 0")
+        if any(m < 0 for m in self.mu_grid):
+            raise ValueError("mu must be >= 0")
         if self.filter_taps < 1:
             raise ValueError("filter_taps must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "scene": self.scene.to_dict(),
-            "source_paths": list(self.source_paths),
-            "stft": {
-                "window_length_ms": self.stft.window_length_ms,
-                "hop_ms": self.stft.hop_ms,
-                "sample_rate": self.stft.sample_rate,
-                "window": self.stft.window,
-            },
-            "methods": list(self.methods),
-            "k_grid": list(self.k_grid),
-            "tau_grid": list(self.tau_grid),
-            "mu_grid": list(self.mu_grid),
-            "n_seeds": self.n_seeds,
-            "iterations": self.iterations,
-            "warmup_iterations": self.warmup_iterations,
-            "master_seed": self.master_seed,
-            "out_dir": self.out_dir,
-            "workers": self.workers,
-            "timeout_s": self.timeout_s,
-            "filter_taps": self.filter_taps,
-        }
+        """`asdict` in the shape JSON reads back: tuples become lists."""
+        return json.loads(json.dumps(asdict(self)))
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -305,9 +290,9 @@ def _execute(cfg: ExperimentConfig, state: PipelineState, method: str,
     stored, so the rows of one group fit once.
     """
     if method == "bf-only":
-        array = int(hyper)
-        if not 0 <= array < cfg.scene.n_arrays:
+        if not (float(hyper).is_integer() and 0 <= hyper < cfg.scene.n_arrays):
             raise ValueError(f"bf-only hyper must be an array index, got {hyper}")
+        array = int(hyper)
         wave = state.bf_waves[array]
         return [wave], wave, state.prepared[array]
     key = _fit_key(method, k, hyper, seed_index)
@@ -427,7 +412,7 @@ def _worker_run(group: list[tuple[str, int, float, int]]) -> list[ResultRow]:
 
 def run_experiment(cfg: ExperimentConfig
                    ) -> tuple[list[ResultRow], dict[tuple, AggregateStats]]:
-    """Run the full sweep; writes results.csv, summary.csv, and plot data.
+    """Run the full sweep; writes results.csv, summary.csv and manifest.json.
 
     The unit of work is one fit: the rows sharing a `_fit_key` form a group,
     so each (K, seed index) fits NMF once and thresholds every tau on it,
@@ -463,7 +448,6 @@ def run_experiment(cfg: ExperimentConfig
     stats = _aggregate_rows(rows)
     write_results_csv(out / "results.csv", rows)
     write_summary_csv(out / "summary.csv", stats)
-    emit_plots(stats, cfg)
     _write_manifest(out / "manifest.json", cfg, rows)
     return rows, stats
 
@@ -511,54 +495,22 @@ def write_summary_csv(path, stats: dict[tuple, AggregateStats]) -> None:
                         f"{st.mean_db:.6f}", f"{st.std_db:.6f}"])
 
 
-def emit_plots(stats: dict[tuple, AggregateStats], cfg: ExperimentConfig
-               ) -> list[Path]:
-    """SDR-vs-K series per (method, variant, hyper), one file per condition.
-
-    Combinations without an aggregate (every seed failed) are left out of the
-    series and listed in the plot manifest instead.
-    """
-    plot_dir = Path(cfg.out_dir) / "plots"
-    plot_dir.mkdir(parents=True, exist_ok=True)
-    A, t60 = cfg.scene.n_arrays, cfg.scene.t60
-    path = plot_dir / f"sdr_vs_k_A{A}_t60_{t60:g}.csv"
-    missing = []
-    with open(path, "w", newline="") as f:
-        f.write(f"# schema: {PLOT_SCHEMA}\n")
-        w = csv.writer(f)
-        w.writerow(["method", "variant", "tau_or_mu", "k", "mean_db",
-                    "std_db", "n"])
-        for method in cfg.methods:
-            if method == "bf-only":
-                continue
-            grid = cfg.tau_grid if method == "nmf" else cfg.mu_grid
-            for variant in ("filtered-sdr", "si-sdr"):
-                for hyper in grid:
-                    for k in cfg.k_grid:
-                        key = (method, variant, k, float(hyper))
-                        if key not in stats:
-                            missing.append(list(key))
-                            continue
-                        st = stats[key]
-                        w.writerow([method, variant, f"{hyper:.9g}", k,
-                                    f"{st.mean_db:.6f}", f"{st.std_db:.6f}",
-                                    st.n])
-    manifest = plot_dir / "plot_manifest.json"
-    manifest.write_text(json.dumps(
-        {"files": [path.name], "missing_combinations": missing}, indent=1))
-    return [path, manifest]
-
-
 def _write_manifest(path, cfg: ExperimentConfig, rows: list[ResultRow]) -> None:
+    """The config, schemas, seed scheme, failed rows, and the (method, K,
+    tau-or-mu) combinations without an ok row; `rows` come in sort_key order."""
     failed = [
         {"method": r.method, "k": r.k, "tau_or_mu": r.tau_or_mu,
          "seed": r.seed, "reason": r.reason}
         for r in rows if r.status != "ok"
     ]
+    missing = [
+        list(combo) for combo, group in itertools.groupby(
+            rows, key=lambda r: (r.method, r.k, r.tau_or_mu))
+        if all(r.status != "ok" for r in group)
+    ]
     doc = {
         "config": cfg.to_dict(),
-        "schemas": {"results": RESULTS_SCHEMA, "summary": SUMMARY_SCHEMA,
-                    "plots": PLOT_SCHEMA},
+        "schemas": {"results": RESULTS_SCHEMA, "summary": SUMMARY_SCHEMA},
         "seed_scheme": {
             "nmf": "first 8 bytes, little-endian, of "
                    "sha256(f'{master}|nmf|{K}|{seed index}'); one fit serves "
@@ -569,5 +521,6 @@ def _write_manifest(path, cfg: ExperimentConfig, rows: list[ResultRow]) -> None:
         "n_rows": len(rows),
         "n_failed": len(failed),
         "failed": failed,
+        "missing_combinations": missing,
     }
     Path(path).write_text(json.dumps(doc, indent=1))

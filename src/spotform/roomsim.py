@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -107,20 +107,8 @@ class Scene:
         return next(i for i, s in enumerate(self.sources) if s.kind == "target")
 
     def to_dict(self) -> dict:
-        return {
-            "room": list(self.room),
-            "arrays": [
-                {"center": list(a.center), "look": a.look,
-                 "n_mics": a.n_mics, "spacing": a.spacing}
-                for a in self.arrays
-            ],
-            "sources": [
-                {"position": list(s.position), "kind": s.kind} for s in self.sources
-            ],
-            "t60": self.t60,
-            "sample_rate": self.sample_rate,
-            "speed_of_sound": self.speed_of_sound,
-        }
+        """`asdict` in the shape JSON reads back: tuples become lists."""
+        return json.loads(json.dumps(asdict(self)))
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scene":

@@ -5,7 +5,6 @@ iterations) keeps the end-to-end checks fast; determinism checks compare
 everything except the runtime column, which is wall-clock by nature.
 """
 
-import csv
 import json
 import os
 import subprocess
@@ -27,7 +26,6 @@ from spotform.harness import (
     _fit,
     _run_task,
     derive_seed,
-    emit_plots,
     enumerate_tasks,
     prepare_pipeline,
     run_experiment,
@@ -150,6 +148,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="filter_taps"):
             ExperimentConfig.from_dict(d)
 
+    @pytest.mark.parametrize("field, grid, match", [
+        ("k_grid", (4, 0), "K"),
+        ("tau_grid", (0.05, -0.1), "tau"),
+        ("mu_grid", (-1.0,), "mu"),
+    ], ids=["k", "tau", "mu"])
+    def test_grid_entry_out_of_range_rejected(self, small_cfg, field, grid,
+                                              match):
+        # rejected before any fit, not at every row of the sweep
+        with pytest.raises(ValueError, match=match):
+            replace(small_cfg, **{field: grid})
+
 
 class TestSeeding:
     def test_deterministic(self):
@@ -248,8 +257,9 @@ class TestRunSingle:
             np.testing.assert_array_equal(got.samples, want.samples)
         np.testing.assert_array_equal(fused.samples, want_fused.samples)
 
-    def test_bad_array_index_marks_row_failed(self, small_cfg, state):
-        paths, row = run_single(small_cfg, "bf-only", 0, 9.0, 0, state=state)
+    @pytest.mark.parametrize("hyper", [9.0, 0.5])
+    def test_bad_array_index_marks_row_failed(self, small_cfg, state, hyper):
+        paths, row = run_single(small_cfg, "bf-only", 0, hyper, 0, state=state)
         assert row.status == "failed"
         assert "array index" in row.reason
         assert np.isnan(row.sdr_filtered_db)
@@ -298,7 +308,7 @@ class TestRunExperiment:
         assert (out / "results.csv").exists()
         assert (out / "summary.csv").exists()
         assert (out / "manifest.json").exists()
-        assert (out / "plots" / "sdr_vs_k_A2_t60_0.csv").exists()
+        assert not (out / "plots").exists()
 
     def test_results_csv_schema(self, small_cfg, experiment):
         lines = (Path(small_cfg.out_dir) / "results.csv").read_text().splitlines()
@@ -324,18 +334,6 @@ class TestRunExperiment:
         st = stats[("ntf", "filtered-sdr", 4, 10.0)]
         assert st.n == len(vals) == 2
         assert st.mean_db == pytest.approx(np.mean(vals), abs=1e-12)
-
-    def test_plot_series_match_summary(self, small_cfg, experiment):
-        _, stats = experiment
-        path = Path(small_cfg.out_dir) / "plots" / "sdr_vs_k_A2_t60_0.csv"
-        with open(path) as f:
-            f.readline()  # schema comment
-            for rec in csv.DictReader(f):
-                key = (rec["method"], rec["variant"], int(rec["k"]),
-                       float(rec["tau_or_mu"]))
-                assert float(rec["mean_db"]) == pytest.approx(
-                    stats[key].mean_db, abs=1e-6)
-                assert int(rec["n"]) == stats[key].n
 
     def test_manifest_restates_config(self, small_cfg, experiment):
         doc = json.loads((Path(small_cfg.out_dir) / "manifest.json").read_text())
@@ -421,15 +419,20 @@ class TestRunExperiment:
         assert all(r.status == "failed" and r.reason == "timeout"
                    and np.isnan(r.runtime_ms) for r in rows)
 
-    def test_missing_combination_listed_in_plot_manifest(self, small_cfg,
-                                                         experiment, tmp_path):
-        _, stats = experiment
-        pruned = dict(stats)
-        del pruned[("ntf", "filtered-sdr", 4, 10.0)]
-        cfg = replace(small_cfg, out_dir=str(tmp_path))
-        emit_plots(pruned, cfg)
-        doc = json.loads((tmp_path / "plots" / "plot_manifest.json").read_text())
-        assert ["ntf", "filtered-sdr", 4, 10.0] in doc["missing_combinations"]
+    def test_missing_combination_listed_in_manifest(self, small_cfg,
+                                                    experiment, tmp_path,
+                                                    monkeypatch):
+        doc = json.loads((Path(small_cfg.out_dir) / "manifest.json").read_text())
+        assert doc["missing_combinations"] == []
+
+        def failing_fit_ntf(*args):
+            raise RuntimeError("no fit")
+
+        monkeypatch.setattr(harness, "fit_ntf", failing_fit_ntf)
+        rows, _ = run_experiment(replace(small_cfg, out_dir=str(tmp_path)))
+        assert sum(r.status != "ok" for r in rows) == small_cfg.n_seeds
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        assert doc["missing_combinations"] == [["ntf", 4, 10.0]]
 
 
 class TestCli:
@@ -515,6 +518,16 @@ class TestCli:
         msg = str(exc.value.code)
         assert msg.startswith("spotform: ")
         assert "16000 Hz" in msg and "8000 Hz" in msg
+        assert not (tmp_path / "spot").exists()
+
+    def test_spotform_rejects_empty_wav_with_message(self, sources, tmp_path):
+        empty = tmp_path / "empty.wav"
+        write_wav(empty, Waveform(np.zeros(0), 16000))
+        with pytest.raises(SystemExit) as exc:
+            main(["spotform", sources[0], str(empty), "--method", "nmf",
+                  "--hyper", "0.01", "--iterations", "4",
+                  "--out", str(tmp_path / "spot")])
+        assert str(exc.value.code) == f"spotform: {empty} has no samples"
         assert not (tmp_path / "spot").exists()
 
     def test_spotform_does_not_import_scipy_signal(self, sources, tmp_path):
