@@ -33,11 +33,17 @@ from spotform.signal import StftConfig, Waveform, read_wav, stft, write_wav
 from spotform.synth import write_demo_sources
 
 
+def _load_config(path) -> ExperimentConfig:
+    try:
+        return ExperimentConfig.load(path)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"spotform: {path}: {exc}") from exc
+
+
 def _cmd_simulate(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.config:
-        cfg = ExperimentConfig.load(args.config)
+        cfg = _load_config(args.config)
     else:
         scene = default_scene(n_arrays=args.arrays, t60=args.t60)
         paths = write_demo_sources(out / "sources", scene.n_sources,
@@ -46,6 +52,7 @@ def _cmd_simulate(args) -> int:
         cfg = ExperimentConfig(scene=scene,
                                source_paths=tuple(str(p) for p in paths),
                                out_dir=str(out))
+    out.mkdir(parents=True, exist_ok=True)
     scene = cfg.scene
     sources = load_sources(cfg)
     rirs = simulate_rirs(scene)
@@ -70,7 +77,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    cfg = ExperimentConfig.load(args.config)
+    cfg = _load_config(args.config)
     overrides = {}
     if args.seed is not None:
         overrides["master_seed"] = args.seed
@@ -86,7 +93,24 @@ def _cmd_run(args) -> int:
     return 0 if failed == 0 else 1
 
 
+def _check_spotform_args(args) -> None:
+    """Refuse numbers the fit would reject, before any WAV is read."""
+    if args.k < 1:
+        raise SystemExit(f"spotform: --k must be >= 1, got {args.k}")
+    if not (np.isfinite(args.hyper) and args.hyper >= 0):
+        raise SystemExit(f"spotform: --hyper must be a finite number >= 0, "
+                         f"got {args.hyper}")
+    if args.iterations < 1:
+        raise SystemExit(f"spotform: --iterations must be >= 1, "
+                         f"got {args.iterations}")
+    # only the ntf schedule has a warmup
+    if args.method == "ntf" and not 0 <= args.warmup <= args.iterations:
+        raise SystemExit(f"spotform: --warmup must lie in 0..--iterations "
+                         f"({args.iterations}), got {args.warmup}")
+
+
 def _cmd_spotform(args) -> int:
+    _check_spotform_args(args)
     waves = [read_wav(p) for p in args.bf_wavs]
     for p, w in zip(args.bf_wavs, waves):
         if len(w) == 0:

@@ -30,7 +30,7 @@ import json
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutTimeout
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +71,10 @@ RESULT_FIELDS = (
     "method", "n_arrays", "t60", "k", "tau_or_mu", "seed",
     "sdr_filtered_db", "sdr_si_db", "runtime_ms", "status", "reason",
 )
+
+
+def _missing_keys(cls, d: dict, prefix: str = "") -> list[str]:
+    return [prefix + f.name for f in fields(cls) if f.name not in d]
 
 
 @dataclass(frozen=True)
@@ -132,6 +136,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """The inverse of `to_dict`; a missing key is an error, not a default."""
+        missing = _missing_keys(cls, d)
+        if "stft" in d:
+            missing += _missing_keys(StftConfig, d["stft"], "stft.")
+        if missing:
+            raise ValueError(f"config is missing {', '.join(missing)}")
         d = dict(d)
         d["scene"] = Scene.from_dict(d["scene"])
         d["stft"] = StftConfig(**d["stft"])
@@ -258,12 +268,14 @@ def separate(Y: BfOutputTensor, method: str, k: int, hyper: float, seed: int,
 def _fit(Y: BfOutputTensor, method: str, k: int, hyper: float, seed: int,
          iterations: int, warmup: int):
     """The seeded stage of `separate`: the NMF model, or the NTF model and
-    its class assignment.  tau is not used; mu weights the NTF penalty."""
+    its class assignment.  tau is not used; mu weights the NTF penalty.
+    Nothing here reads the cost trace, so the fits do not compute it."""
     if method == "nmf":
-        return fit_nmf(build_concat(Y), k, iterations, seed)
+        return fit_nmf(build_concat(Y), k, iterations, seed, trace=False)
     if method == "ntf":
         schedule = RegularizationSchedule(hyper, warmup, iterations)
-        model, assignment, _ = fit_ntf(build_prop_tensor(Y), k, schedule, seed)
+        model, assignment, _ = fit_ntf(build_prop_tensor(Y), k, schedule, seed,
+                                       trace=False)
         return model, assignment
     raise ValueError(f"unknown method {method!r}")
 

@@ -86,14 +86,20 @@ def update_step(model: NmfModel, C: ConcatMatrix) -> NmfModel:
     return NmfModel(T=step.T, V=step.V, seed=model.seed, cost=model.cost)
 
 
-def fit_nmf(C: ConcatMatrix, K: int, iterations: int = 100, seed: int = 0) -> NmfModel:
-    """Factorize the concat matrix; returns the model with its cost trace."""
+def fit_nmf(C: ConcatMatrix, K: int, iterations: int = 100, seed: int = 0,
+            *, trace: bool = True) -> NmfModel:
+    """Factorize the concat matrix; returns the model with its cost trace.
+
+    With `trace=False` the trace is not computed and `cost` is empty; T and
+    V are the same.
+    """
     if K < 1:
         raise ValueError("K must be >= 1")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    model, trace = factorize(C.values[None], K, [0.0] * iterations, seed)
-    return NmfModel(T=model.T, V=model.V, seed=seed, cost=trace)
+    model, costs = factorize(C.values[None], K, [0.0] * iterations, seed,
+                             trace=trace)
+    return NmfModel(T=model.T, V=model.V, seed=seed, cost=costs)
 
 
 def threshold_mask(model: NmfModel, n_arrays: int, n_frames: int,

@@ -16,7 +16,8 @@ Z[a] * T[i], the model is the single GEMM W @ V^T.  Each factor update forms
 the model once and divides the data by it, then contracts that ratio R
 against the other two factors: R @ V reshaped to (A, I, K) and reduced
 against T (for Z) or Z (for T), and R^T @ W (for V).  A step is six GEMMs of
-A*I*J*K multiply-adds each, plus elementwise passes over the A*I*J data.
+A*I*J*K multiply-adds each, plus elementwise passes over the A*I*J data; a
+fit forms every model and ratio in one (A*I, J) buffer.
 The NMF baseline is this kernel at A = 1 with mu = 0 (see `spotform.nmf`).
 """
 
@@ -161,11 +162,31 @@ def _check_finite(model: NtfModel, iteration: int | None) -> None:
             raise FloatingPointError(f"numerical divergence{where}")
 
 
-def _ratio(c: np.ndarray, W: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """c / max(W @ V^T, EPS), formed in the buffer of the model GEMM."""
-    R = W @ V.T
-    np.maximum(R, EPS, out=R)
-    return np.divide(c, R, out=R)
+def _ratio(c: np.ndarray, W: np.ndarray, V: np.ndarray,
+           work: np.ndarray) -> np.ndarray:
+    """c / max(W @ V^T, EPS), formed in `work`."""
+    np.matmul(W, V.T, out=work)
+    np.maximum(work, EPS, out=work)
+    return np.divide(c, work, out=work)
+
+
+@dataclass
+class _Workspace:
+    """Buffers shaped like the (A*I, J) data, reused by every step of a fit.
+
+    `ratio` holds each model and its ratio.  `log` and `c_sum` (the data's
+    sum) are there only when the fit keeps a cost trace.
+    """
+
+    ratio: np.ndarray
+    log: np.ndarray | None = None
+    c_sum: float = 0.0
+
+    @classmethod
+    def for_data(cls, c: np.ndarray, trace: bool) -> "_Workspace":
+        if trace:
+            return cls(np.empty(c.shape), np.empty(c.shape), float(c.sum()))
+        return cls(np.empty(c.shape))
 
 
 def _step(
@@ -174,35 +195,42 @@ def _step(
     attractors: AttractorSet,
     mu: float,
     iteration: int | None,
-) -> tuple[NtfModel, float]:
+    ws: _Workspace,
+) -> tuple[NtfModel, float | None]:
     """`update_step` on the (A*I, J) unfolding `c` of the data.
 
-    Also returns the data divergence of the incoming model, read off the
-    first ratio R = c / max(X, EPS) the step forms: the sum over c > 0 of
+    Every ratio is formed in `ws.ratio`.  When `ws` keeps a trace, also
+    returns the data divergence of the incoming model, read off the first
+    ratio R = c / max(X, EPS) the step forms: the sum over c > 0 of
     c * log R, minus sum c, plus sum max(X, EPS).  R is floored at the
     smallest normal float inside the log, so entries with c = 0 add 0.
+    Otherwise returns None in its place.  At mu = 0 the attractor pull adds
+    nothing, so the assignment is skipped.
     """
     Z, T, V = model.Z, model.T, model.V
     (A, K), I = Z.shape, T.shape[0]
-    assign = assign_attractors(Z, attractors)
-    P_hit = attractors.P[:, assign.b]  # (A, K)
 
-    ratio = _khatri_rao(Z, T) @ V.T
+    ratio, tracing = ws.ratio, ws.log is not None
+    np.matmul(_khatri_rao(Z, T), V.T, out=ratio)
     np.maximum(ratio, EPS, out=ratio)
-    model_sum = float(ratio.sum())
+    model_sum = float(ratio.sum()) if tracing else 0.0
     np.divide(c, ratio, out=ratio)
-    log_ratio = np.maximum(ratio, _TINY)
-    np.log(log_ratio, out=log_ratio)
-    data_cost = float(np.vdot(c, log_ratio)) - float(c.sum()) + model_sum
+    data_cost = None
+    if tracing:
+        np.maximum(ratio, _TINY, out=ws.log)
+        np.log(ws.log, out=ws.log)
+        data_cost = float(np.vdot(c, ws.log)) - ws.c_sum + model_sum
     RV = (ratio @ V).reshape(A, I, K)
-    num = Z * np.einsum("aik,ik->ak", RV, T) + mu * P_hit
+    num = Z * np.einsum("aik,ik->ak", RV, T)
+    if mu:
+        num += mu * attractors.P[:, assign_attractors(Z, attractors).b]
     den = T.sum(axis=0) * V.sum(axis=0) + mu
     Z = num / np.maximum(den, EPS)[None, :]
     scale = np.maximum(Z.sum(axis=0), EPS)
     Z = Z / scale[None, :]
     V = V * scale[None, :]
 
-    RV = (_ratio(c, _khatri_rao(Z, T), V) @ V).reshape(A, I, K)
+    RV = (_ratio(c, _khatri_rao(Z, T), V, ratio) @ V).reshape(A, I, K)
     T = T * np.einsum("aik,ak->ik", RV, Z)
     T = T / np.maximum(Z.sum(axis=0) * V.sum(axis=0), EPS)[None, :]
     scale = np.maximum(T.sum(axis=0), EPS)
@@ -210,7 +238,7 @@ def _step(
     V = V * scale[None, :]
 
     W = _khatri_rao(Z, T)
-    V = V * (_ratio(c, W, V).T @ W)
+    V = V * (_ratio(c, W, V, ratio).T @ W)
     V = V / np.maximum(Z.sum(axis=0) * T.sum(axis=0), EPS)[None, :]
 
     out = NtfModel(Z=Z, T=T, V=V, seed=model.seed)
@@ -232,20 +260,25 @@ def update_step(
     which leaves the composed tensor (and hence the cost) unchanged.
     """
     A, I, J = C.values.shape
-    return _step(model, C.values.reshape(A * I, J), attractors, mu, iteration)[0]
+    c = C.values.reshape(A * I, J)
+    return _step(model, c, attractors, mu, iteration,
+                 _Workspace.for_data(c, trace=False))[0]
 
 
 def factorize(
-    c: np.ndarray, K: int, weights: Sequence[float], seed: int
+    c: np.ndarray, K: int, weights: Sequence[float], seed: int,
+    *, trace: bool = True,
 ) -> tuple[NtfModel, np.ndarray]:
     """The factorization kernel shared by NTF and NMF, on (A, I, J) data.
 
     Runs the update step once per entry of `weights`, the attractor weight of
     that iteration, and returns the model and its cost after each iteration.
-    Entry it - 1 of the trace comes from the ratio step it forms anyway,
-    plus the penalty at the weight of iteration it - 1; one `evaluate_cost`
-    gives the last entry.  NMF calls this on its (1, I, A*J) concatenation
-    with every weight zero.
+    Every step forms its ratios in one buffer the fit allocates.  Entry
+    it - 1 of the trace comes from the ratio step it forms anyway, plus the
+    penalty at the weight of iteration it - 1; one `evaluate_cost` gives the
+    last entry.  With `trace=False` none of that is computed and the trace
+    is empty; the model is the same.  NMF calls this on its (1, I, A*J)
+    concatenation with every weight zero.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -259,29 +292,33 @@ def factorize(
     T /= T.sum(axis=0, keepdims=True)
     model = NtfModel(Z=np.full((A, K), 1.0 / A), T=T, V=V, seed=seed)
     unfolded = c.reshape(A * I, J)
-    trace = np.empty(len(weights))
+    ws = _Workspace.for_data(unfolded, trace)
+    costs = np.empty(len(weights) if trace else 0)
     for it, w in enumerate(weights):
-        penalty = _penalty(model.Z, attractors, weights[it - 1]) if it else 0.0
-        model, data_cost = _step(model, unfolded, attractors, w, it)
-        if it:
-            trace[it - 1] = data_cost + penalty
-    if len(weights):
-        trace[-1] = evaluate_cost(model, PropTensor(c), attractors, weights[-1])
-    return model, trace
+        if trace and it:
+            penalty = _penalty(model.Z, attractors, weights[it - 1])
+        model, data_cost = _step(model, unfolded, attractors, w, it, ws)
+        if trace and it:
+            costs[it - 1] = data_cost + penalty
+    if trace and len(weights):
+        costs[-1] = evaluate_cost(model, PropTensor(c), attractors, weights[-1])
+    return model, costs
 
 
 def fit_ntf(
-    C: PropTensor, K: int, schedule: RegularizationSchedule, seed: int = 0
+    C: PropTensor, K: int, schedule: RegularizationSchedule, seed: int = 0,
+    *, trace: bool = True,
 ) -> tuple[NtfModel, Assignment, np.ndarray]:
     """Run the full schedule; returns model, final assignment, cost trace.
 
     The trace entry for each iteration uses the weight active at that
     iteration, so monotonicity holds within each constant-mu segment but not
-    across the warmup boundary.
+    across the warmup boundary.  With `trace=False` the trace is not
+    computed and comes back empty; model and assignment are the same.
     """
     weights = [schedule.weight_at(it) for it in range(schedule.total_iterations)]
-    model, trace = factorize(C.values, K, weights, seed)
-    return model, assign_attractors(model.Z, build_attractors(C.n_arrays)), trace
+    model, costs = factorize(C.values, K, weights, seed, trace=trace)
+    return model, assign_attractors(model.Z, build_attractors(C.n_arrays)), costs
 
 
 def masked_wiener(

@@ -17,7 +17,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import spotform
-from spotform import evaluate, harness
+from spotform import cli, evaluate, harness, ntf
 from spotform.beamform import BfOutputTensor, delay_and_sum
 from spotform.cli import main
 from spotform.evaluate import filtered_sdr, si_sdr
@@ -158,6 +158,26 @@ class TestConfig:
         # rejected before any fit, not at every row of the sweep
         with pytest.raises(ValueError, match=match):
             replace(small_cfg, **{field: grid})
+
+
+    def test_missing_keys_rejected(self, small_cfg):
+        # a gap is not filled with the default sweep
+        d = small_cfg.to_dict()
+        for key in ("n_seeds", "k_grid", "iterations", "filter_taps",
+                    "workers"):
+            del d[key]
+        del d["stft"]["hop_ms"]
+        with pytest.raises(ValueError) as exc:
+            ExperimentConfig.from_dict(d)
+        assert str(exc.value) == ("config is missing k_grid, n_seeds, "
+                                  "iterations, workers, filter_taps, "
+                                  "stft.hop_ms")
+
+    def test_missing_stft_rejected(self, small_cfg):
+        d = small_cfg.to_dict()
+        del d["stft"]
+        with pytest.raises(ValueError, match="config is missing stft$"):
+            ExperimentConfig.from_dict(d)
 
 
 class TestSeeding:
@@ -356,9 +376,9 @@ class TestRunExperiment:
         calls = []
         fit_nmf = harness.fit_nmf
 
-        def counting_fit_nmf(C, K, iterations, seed):
+        def counting_fit_nmf(C, K, iterations, seed, **kwargs):
             calls.append((K, seed))
-            return fit_nmf(C, K, iterations, seed)
+            return fit_nmf(C, K, iterations, seed, **kwargs)
 
         monkeypatch.setattr(harness, "fit_nmf", counting_fit_nmf)
         rows, _ = run_experiment(replace(tau_cfg, out_dir=str(tmp_path)))
@@ -425,7 +445,7 @@ class TestRunExperiment:
         doc = json.loads((Path(small_cfg.out_dir) / "manifest.json").read_text())
         assert doc["missing_combinations"] == []
 
-        def failing_fit_ntf(*args):
+        def failing_fit_ntf(*args, **kwargs):
             raise RuntimeError("no fit")
 
         monkeypatch.setattr(harness, "fit_ntf", failing_fit_ntf)
@@ -433,6 +453,20 @@ class TestRunExperiment:
         assert sum(r.status != "ok" for r in rows) == small_cfg.n_seeds
         doc = json.loads((tmp_path / "manifest.json").read_text())
         assert doc["missing_combinations"] == [["ntf", 4, 10.0]]
+
+
+    def test_fits_compute_no_cost(self, small_cfg, sources, tmp_path,
+                                  monkeypatch):
+        # nothing in the sweep or the CLI reads the cost trace
+        def no_cost(*args, **kwargs):
+            raise AssertionError("cost evaluated")
+
+        monkeypatch.setattr(ntf, "evaluate_cost", no_cost)
+        rows, _ = run_experiment(replace(small_cfg, out_dir=str(tmp_path)))
+        assert rows and all(r.status == "ok" for r in rows)
+        assert main(["spotform", *sources, "--method", "ntf", "--k", "4",
+                     "--hyper", "10", "--iterations", "6", "--warmup", "3",
+                     "--out", str(tmp_path / "spot")]) == 0
 
 
 class TestCli:
@@ -529,6 +563,45 @@ class TestCli:
                   "--out", str(tmp_path / "spot")])
         assert str(exc.value.code) == f"spotform: {empty} has no samples"
         assert not (tmp_path / "spot").exists()
+
+    @pytest.mark.parametrize("method, argv, message", [
+        ("nmf", ["--k", "0"], "--k must be >= 1, got 0"),
+        ("ntf", ["--hyper", "-1"],
+         "--hyper must be a finite number >= 0, got -1.0"),
+        ("nmf", ["--hyper", "-1"],
+         "--hyper must be a finite number >= 0, got -1.0"),
+        ("ntf", ["--hyper", "nan"],
+         "--hyper must be a finite number >= 0, got nan"),
+        ("nmf", ["--iterations", "0"], "--iterations must be >= 1, got 0"),
+        ("ntf", ["--warmup", "20", "--iterations", "10"],
+         "--warmup must lie in 0..--iterations (10), got 20"),
+    ], ids=["k", "ntf-hyper", "nmf-hyper", "nan-hyper", "iterations",
+            "warmup"])
+    def test_spotform_rejects_bad_numbers_with_message(
+            self, sources, tmp_path, monkeypatch, method, argv, message):
+        def no_read(path):
+            raise AssertionError("read a WAV before checking the arguments")
+
+        monkeypatch.setattr(cli, "read_wav", no_read)
+        with pytest.raises(SystemExit) as exc:
+            main(["spotform", sources[0], sources[1], "--method", method,
+                  "--hyper", "0.01", *argv, "--out", str(tmp_path / "spot")])
+        assert str(exc.value.code) == f"spotform: {message}"
+        assert not (tmp_path / "spot").exists()
+
+    @pytest.mark.parametrize("command", ["run", "simulate"])
+    def test_config_with_missing_key_rejected_with_message(
+            self, small_cfg, tmp_path, command):
+        d = small_cfg.to_dict()
+        del d["n_seeds"]
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(d))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg_path),
+                  "--out", str(tmp_path / "out")])
+        assert str(exc.value.code) == (
+            f"spotform: {cfg_path}: config is missing n_seeds")
+        assert not (tmp_path / "out").exists()
 
     def test_spotform_does_not_import_scipy_signal(self, sources, tmp_path):
         # importing scipy costs most of a short run's time and `spotform`

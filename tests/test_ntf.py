@@ -35,6 +35,7 @@ from spotform.ntf import (
     build_attractors,
     build_prop_tensor,
     evaluate_cost,
+    factorize,
     fit_ntf,
     masked_wiener,
     ntf_wiener,
@@ -505,6 +506,12 @@ def test_trace_matches_cost_of_each_iterate(A, mu):
         want.append(evaluate_cost(ref, C, attr, w))
     assert_allclose(trace, want, rtol=1e-12, atol=0)
     for got, exp in ((model.Z, ref.Z), (model.T, ref.T), (model.V, ref.V)):
+        assert np.array_equal(got, exp)
+    weights = [sched.weight_at(it) for it in range(sched.total_iterations)]
+    untraced, empty = factorize(c, K, weights, seed, trace=False)
+    assert empty.shape == (0,)
+    for got, exp in ((untraced.Z, model.Z), (untraced.T, model.T),
+                     (untraced.V, model.V)):
         assert np.array_equal(got, exp)
 
 
