@@ -51,7 +51,13 @@ from spotform.ntf import (
     fit_ntf,
     ntf_wiener,
 )
-from spotform.roomsim import Scene, render_observations, simulate_rirs
+from spotform.roomsim import (
+    MicArray,
+    Scene,
+    SourcePlacement,
+    render_observations,
+    simulate_rirs,
+)
 from spotform.signal import (
     ComplexSpectrogram,
     StftConfig,
@@ -75,6 +81,11 @@ RESULT_FIELDS = (
 
 def _missing_keys(cls, d: dict, prefix: str = "") -> list[str]:
     return [prefix + f.name for f in fields(cls) if f.name not in d]
+
+
+def _unknown_keys(cls, d: dict, prefix: str = "") -> list[str]:
+    names = {f.name for f in fields(cls)}
+    return [prefix + key for key in d if key not in names]
 
 
 @dataclass(frozen=True)
@@ -136,12 +147,27 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        """The inverse of `to_dict`; a missing key is an error, not a default."""
-        missing = _missing_keys(cls, d)
+        """The inverse of `to_dict`.  A missing key is an error, not a
+        default, and so is a key no field reads."""
+        scene = d.get("scene", {})
+        parts = [(cls, d, "")]
         if "stft" in d:
-            missing += _missing_keys(StftConfig, d["stft"], "stft.")
+            parts.append((StftConfig, d["stft"], "stft."))
+        if "scene" in d:
+            parts.append((Scene, scene, "scene."))
+        parts += [(MicArray, a, f"scene.arrays[{i}].")
+                  for i, a in enumerate(scene.get("arrays", ()))]
+        parts += [(SourcePlacement, s, f"scene.sources[{i}].")
+                  for i, s in enumerate(scene.get("sources", ()))]
+        missing = [key for p in parts for key in _missing_keys(*p)]
+        unknown = [key for p in parts for key in _unknown_keys(*p)]
+        problems = []
         if missing:
-            raise ValueError(f"config is missing {', '.join(missing)}")
+            problems.append(f"config is missing {', '.join(missing)}")
+        if unknown:
+            problems.append(f"config has unknown keys {', '.join(unknown)}")
+        if problems:
+            raise ValueError("; ".join(problems))
         d = dict(d)
         d["scene"] = Scene.from_dict(d["scene"])
         d["stft"] = StftConfig(**d["stft"])
@@ -268,15 +294,12 @@ def separate(Y: BfOutputTensor, method: str, k: int, hyper: float, seed: int,
 def _fit(Y: BfOutputTensor, method: str, k: int, hyper: float, seed: int,
          iterations: int, warmup: int):
     """The seeded stage of `separate`: the NMF model, or the NTF model and
-    its class assignment.  tau is not used; mu weights the NTF penalty.
-    Nothing here reads the cost trace, so the fits do not compute it."""
+    its class assignment.  tau is not used; mu weights the NTF penalty."""
     if method == "nmf":
-        return fit_nmf(build_concat(Y), k, iterations, seed, trace=False)
+        return fit_nmf(build_concat(Y), k, iterations, seed)
     if method == "ntf":
         schedule = RegularizationSchedule(hyper, warmup, iterations)
-        model, assignment, _ = fit_ntf(build_prop_tensor(Y), k, schedule, seed,
-                                       trace=False)
-        return model, assignment
+        return fit_ntf(build_prop_tensor(Y), k, schedule, seed)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -298,8 +321,9 @@ def _execute(cfg: ExperimentConfig, state: PipelineState, method: str,
              ) -> tuple[list[Waveform], Waveform, PreparedReference]:
     """Run one method; returns (per-array estimates, fused output, reference).
 
-    `fits` maps `_fit_key` to a `_fit` result; a missing fit is made and
-    stored, so the rows of one group fit once.
+    `fits` maps `_fit_key` to a `_fit` result or the exception the fit
+    raised; a missing fit is made and stored, so the rows of one group fit
+    once and, if it fails, all fail with its reason.
     """
     if method == "bf-only":
         if not (float(hyper).is_integer() and 0 <= hyper < cfg.scene.n_arrays):
@@ -310,9 +334,15 @@ def _execute(cfg: ExperimentConfig, state: PipelineState, method: str,
     key = _fit_key(method, k, hyper, seed_index)
     if key not in fits:
         stream_seed = derive_seed(cfg.master_seed, method, k, hyper, seed_index)
-        fits[key] = _fit(state.bf_tensor, method, k, hyper, stream_seed,
-                         cfg.iterations, cfg.warmup_iterations)
-    waves, fused = _extract(state.bf_tensor, method, fits[key], hyper)
+        try:
+            fits[key] = _fit(state.bf_tensor, method, k, hyper, stream_seed,
+                             cfg.iterations, cfg.warmup_iterations)
+        except Exception as exc:  # noqa: BLE001 - reraised for every row
+            fits[key] = exc
+    fit = fits[key]
+    if isinstance(fit, Exception):
+        raise fit
+    waves, fused = _extract(state.bf_tensor, method, fit, hyper)
     return waves, fused, state.prepared[0]
 
 

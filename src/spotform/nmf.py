@@ -16,7 +16,7 @@ to the shared Wiener gain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +54,6 @@ class NmfModel:
     T: np.ndarray
     V: np.ndarray
     seed: int
-    cost: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @property
     def K(self) -> int:
@@ -83,23 +82,18 @@ def update_step(model: NmfModel, C: ConcatMatrix) -> NmfModel:
     step = ntf_update_step(
         NtfModel(Z=np.ones((1, model.K)), T=model.T, V=model.V, seed=model.seed),
         PropTensor(C.values[None]), build_attractors(1), 0.0)
-    return NmfModel(T=step.T, V=step.V, seed=model.seed, cost=model.cost)
+    return NmfModel(T=step.T, V=step.V, seed=model.seed)
 
 
-def fit_nmf(C: ConcatMatrix, K: int, iterations: int = 100, seed: int = 0,
-            *, trace: bool = True) -> NmfModel:
-    """Factorize the concat matrix; returns the model with its cost trace.
-
-    With `trace=False` the trace is not computed and `cost` is empty; T and
-    V are the same.
-    """
+def fit_nmf(C: ConcatMatrix, K: int, iterations: int = 100,
+            seed: int = 0) -> NmfModel:
+    """Factorize the concat matrix with `iterations` update steps."""
     if K < 1:
         raise ValueError("K must be >= 1")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    model, costs = factorize(C.values[None], K, [0.0] * iterations, seed,
-                             trace=trace)
-    return NmfModel(T=model.T, V=model.V, seed=seed, cost=costs)
+    model = factorize(C.values[None], K, [0.0] * iterations, seed)
+    return NmfModel(T=model.T, V=model.V, seed=seed)
 
 
 def threshold_mask(model: NmfModel, n_arrays: int, n_frames: int,

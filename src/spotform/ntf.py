@@ -33,8 +33,6 @@ from spotform.beamform import BfOutputTensor
 from spotform.gkl import EPS, gkl_divergence, gkl_elementwise
 from spotform.signal import ComplexSpectrogram
 
-_TINY = np.finfo(np.float64).tiny
-
 
 @dataclass
 class PropTensor:
@@ -140,19 +138,16 @@ def assign_attractors(Z: np.ndarray, attractors: AttractorSet) -> Assignment:
     return Assignment(b=b, h=(b == 0).astype(np.int64))
 
 
-def _penalty(Z: np.ndarray, attractors: AttractorSet, mu: float) -> float:
-    """mu times the summed distance of each column of Z to its attractor."""
-    if mu > 0:
-        return mu * float(np.sum(np.min(_attractor_dist(Z, attractors), axis=0)))
-    return 0.0
-
-
 def evaluate_cost(
     model: NtfModel, C: PropTensor, attractors: AttractorSet, mu: float
 ) -> float:
-    """Data divergence plus mu times the nearest-attractor pull."""
-    return (gkl_divergence(C.values, model.compose())
-            + _penalty(model.Z, attractors, mu))
+    """Data divergence plus mu times the summed distance of each column of Z
+    to its nearest attractor."""
+    cost = gkl_divergence(C.values, model.compose())
+    if mu > 0:
+        cost += mu * float(np.sum(np.min(_attractor_dist(model.Z, attractors),
+                                         axis=0)))
+    return cost
 
 
 def _check_finite(model: NtfModel, iteration: int | None) -> None:
@@ -170,57 +165,23 @@ def _ratio(c: np.ndarray, W: np.ndarray, V: np.ndarray,
     return np.divide(c, work, out=work)
 
 
-@dataclass
-class _Workspace:
-    """Buffers shaped like the (A*I, J) data, reused by every step of a fit.
-
-    `ratio` holds each model and its ratio.  `log` and `c_sum` (the data's
-    sum) are there only when the fit keeps a cost trace.
-    """
-
-    ratio: np.ndarray
-    log: np.ndarray | None = None
-    c_sum: float = 0.0
-
-    @classmethod
-    def for_data(cls, c: np.ndarray, trace: bool) -> "_Workspace":
-        if trace:
-            return cls(np.empty(c.shape), np.empty(c.shape), float(c.sum()))
-        return cls(np.empty(c.shape))
-
-
 def _step(
     model: NtfModel,
     c: np.ndarray,
     attractors: AttractorSet,
     mu: float,
     iteration: int | None,
-    ws: _Workspace,
-) -> tuple[NtfModel, float | None]:
+    work: np.ndarray,
+) -> NtfModel:
     """`update_step` on the (A*I, J) unfolding `c` of the data.
 
-    Every ratio is formed in `ws.ratio`.  When `ws` keeps a trace, also
-    returns the data divergence of the incoming model, read off the first
-    ratio R = c / max(X, EPS) the step forms: the sum over c > 0 of
-    c * log R, minus sum c, plus sum max(X, EPS).  R is floored at the
-    smallest normal float inside the log, so entries with c = 0 add 0.
-    Otherwise returns None in its place.  At mu = 0 the attractor pull adds
-    nothing, so the assignment is skipped.
+    Every ratio is formed in `work`, a buffer shaped like `c`.  At mu = 0 the
+    attractor pull adds nothing, so the assignment is skipped.
     """
     Z, T, V = model.Z, model.T, model.V
     (A, K), I = Z.shape, T.shape[0]
 
-    ratio, tracing = ws.ratio, ws.log is not None
-    np.matmul(_khatri_rao(Z, T), V.T, out=ratio)
-    np.maximum(ratio, EPS, out=ratio)
-    model_sum = float(ratio.sum()) if tracing else 0.0
-    np.divide(c, ratio, out=ratio)
-    data_cost = None
-    if tracing:
-        np.maximum(ratio, _TINY, out=ws.log)
-        np.log(ws.log, out=ws.log)
-        data_cost = float(np.vdot(c, ws.log)) - ws.c_sum + model_sum
-    RV = (ratio @ V).reshape(A, I, K)
+    RV = (_ratio(c, _khatri_rao(Z, T), V, work) @ V).reshape(A, I, K)
     num = Z * np.einsum("aik,ik->ak", RV, T)
     if mu:
         num += mu * attractors.P[:, assign_attractors(Z, attractors).b]
@@ -230,7 +191,7 @@ def _step(
     Z = Z / scale[None, :]
     V = V * scale[None, :]
 
-    RV = (_ratio(c, _khatri_rao(Z, T), V, ratio) @ V).reshape(A, I, K)
+    RV = (_ratio(c, _khatri_rao(Z, T), V, work) @ V).reshape(A, I, K)
     T = T * np.einsum("aik,ak->ik", RV, Z)
     T = T / np.maximum(Z.sum(axis=0) * V.sum(axis=0), EPS)[None, :]
     scale = np.maximum(T.sum(axis=0), EPS)
@@ -238,12 +199,12 @@ def _step(
     V = V * scale[None, :]
 
     W = _khatri_rao(Z, T)
-    V = V * (_ratio(c, W, V, ratio).T @ W)
+    V = V * (_ratio(c, W, V, work).T @ W)
     V = V / np.maximum(Z.sum(axis=0) * T.sum(axis=0), EPS)[None, :]
 
     out = NtfModel(Z=Z, T=T, V=V, seed=model.seed)
     _check_finite(out, iteration)
-    return out, data_cost
+    return out
 
 
 def update_step(
@@ -261,23 +222,17 @@ def update_step(
     """
     A, I, J = C.values.shape
     c = C.values.reshape(A * I, J)
-    return _step(model, c, attractors, mu, iteration,
-                 _Workspace.for_data(c, trace=False))[0]
+    return _step(model, c, attractors, mu, iteration, np.empty(c.shape))
 
 
 def factorize(
-    c: np.ndarray, K: int, weights: Sequence[float], seed: int,
-    *, trace: bool = True,
-) -> tuple[NtfModel, np.ndarray]:
+    c: np.ndarray, K: int, weights: Sequence[float], seed: int
+) -> NtfModel:
     """The factorization kernel shared by NTF and NMF, on (A, I, J) data.
 
     Runs the update step once per entry of `weights`, the attractor weight of
-    that iteration, and returns the model and its cost after each iteration.
-    Every step forms its ratios in one buffer the fit allocates.  Entry
-    it - 1 of the trace comes from the ratio step it forms anyway, plus the
-    penalty at the weight of iteration it - 1; one `evaluate_cost` gives the
-    last entry.  With `trace=False` none of that is computed and the trace
-    is empty; the model is the same.  NMF calls this on its (1, I, A*J)
+    that iteration, and returns the model.  Every step forms its ratios in
+    one buffer the fit allocates.  NMF calls this on its (1, I, A*J)
     concatenation with every weight zero.
     """
     if K < 1:
@@ -292,33 +247,19 @@ def factorize(
     T /= T.sum(axis=0, keepdims=True)
     model = NtfModel(Z=np.full((A, K), 1.0 / A), T=T, V=V, seed=seed)
     unfolded = c.reshape(A * I, J)
-    ws = _Workspace.for_data(unfolded, trace)
-    costs = np.empty(len(weights) if trace else 0)
+    work = np.empty(unfolded.shape)
     for it, w in enumerate(weights):
-        if trace and it:
-            penalty = _penalty(model.Z, attractors, weights[it - 1])
-        model, data_cost = _step(model, unfolded, attractors, w, it, ws)
-        if trace and it:
-            costs[it - 1] = data_cost + penalty
-    if trace and len(weights):
-        costs[-1] = evaluate_cost(model, PropTensor(c), attractors, weights[-1])
-    return model, costs
+        model = _step(model, unfolded, attractors, w, it, work)
+    return model
 
 
 def fit_ntf(
-    C: PropTensor, K: int, schedule: RegularizationSchedule, seed: int = 0,
-    *, trace: bool = True,
-) -> tuple[NtfModel, Assignment, np.ndarray]:
-    """Run the full schedule; returns model, final assignment, cost trace.
-
-    The trace entry for each iteration uses the weight active at that
-    iteration, so monotonicity holds within each constant-mu segment but not
-    across the warmup boundary.  With `trace=False` the trace is not
-    computed and comes back empty; model and assignment are the same.
-    """
+    C: PropTensor, K: int, schedule: RegularizationSchedule, seed: int = 0
+) -> tuple[NtfModel, Assignment]:
+    """Run the full schedule; returns the model and its final assignment."""
     weights = [schedule.weight_at(it) for it in range(schedule.total_iterations)]
-    model, costs = factorize(C.values, K, weights, seed, trace=trace)
-    return model, assign_attractors(model.Z, build_attractors(C.n_arrays)), costs
+    model = factorize(C.values, K, weights, seed)
+    return model, assign_attractors(model.Z, build_attractors(C.n_arrays))
 
 
 def masked_wiener(

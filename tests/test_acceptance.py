@@ -94,8 +94,8 @@ def test_a02_allocations_land_on_attractors_at_large_mu():
     hits, worst = 0, 0.0
     for seed in range(10):
         C, attractors = planted_tensor(seed + 100, [0, 1, 2], K=3)
-        model, _, _ = fit_ntf(C, 3, RegularizationSchedule(1000.0, 50, 100),
-                              seed=seed)
+        model, _ = fit_ntf(C, 3, RegularizationSchedule(1000.0, 50, 100),
+                           seed=seed)
         gaps = np.abs(model.Z[:, :, None] - attractors.P[:, None, :]).sum(0)
         nearest = gaps.min(axis=1)
         hits += bool(np.all(nearest < 1e-3))
@@ -109,8 +109,8 @@ def test_a03_planted_model_recovery():
     hits = 0
     for seed in range(10):
         C, _ = planted_tensor(seed + 200, [0, 0, 1, 2], K=4, peaky=True)
-        model, asg, _ = fit_ntf(C, 4, RegularizationSchedule(100.0, 500, 2000),
-                                seed=seed)
+        model, asg = fit_ntf(C, 4, RegularizationSchedule(100.0, 500, 2000),
+                             seed=seed)
         gkl = gkl_divergence(C.values, model.compose())
         if int(asg.h.sum()) == 2 and gkl < 1e-6 * C.values.sum():
             hits += 1
@@ -127,9 +127,9 @@ def test_a04_single_array_matches_baseline_updates():
         K = int(rng.integers(2, min(I, J)))
         C = rng.uniform(0.1, 2.0, (I, J))
         iters = 1 if trial < 3 else 7
-        m_ntf, _, _ = fit_ntf(PropTensor(C[None]), K,
-                              RegularizationSchedule(0.0, 0, iters),
-                              seed=trial)
+        m_ntf, _ = fit_ntf(PropTensor(C[None]), K,
+                           RegularizationSchedule(0.0, 0, iters),
+                           seed=trial)
         m_nmf = fit_nmf(ConcatMatrix(C, 1, J), K, iterations=iters,
                         seed=trial)
         worst = max(worst,

@@ -24,6 +24,7 @@ from spotform.evaluate import filtered_sdr, si_sdr
 from spotform.harness import (
     ExperimentConfig,
     _fit,
+    _group_tasks,
     _run_task,
     derive_seed,
     enumerate_tasks,
@@ -387,6 +388,23 @@ class TestRunExperiment:
             (4, derive_seed(tau_cfg.master_seed, "nmf", 4, 0.0, s))
             for s in range(2))
 
+    def test_failing_fit_runs_once_per_group(self, tau_cfg, tmp_path,
+                                             monkeypatch):
+        calls = []
+
+        def failing_fit_nmf(C, K, iterations, seed):
+            calls.append(seed)
+            raise FloatingPointError("numerical divergence at iteration 3")
+
+        monkeypatch.setattr(harness, "fit_nmf", failing_fit_nmf)
+        cfg = replace(tau_cfg, out_dir=str(tmp_path))
+        rows, _ = run_experiment(cfg)
+        assert len(calls) == len(_group_tasks(enumerate_tasks(cfg))) == 2
+        assert len(rows) == 6 and all(
+            r.status == "failed" and r.reason == (
+                "FloatingPointError: numerical divergence at iteration 3")
+            for r in rows)
+
     def test_each_reference_prepared_once_per_sweep(self, tau_cfg, tmp_path,
                                                     monkeypatch):
         calls = []
@@ -457,7 +475,7 @@ class TestRunExperiment:
 
     def test_fits_compute_no_cost(self, small_cfg, sources, tmp_path,
                                   monkeypatch):
-        # nothing in the sweep or the CLI reads the cost trace
+        # nothing in the sweep or the CLI reads the cost
         def no_cost(*args, **kwargs):
             raise AssertionError("cost evaluated")
 
@@ -592,16 +610,25 @@ class TestCli:
     @pytest.mark.parametrize("command", ["run", "simulate"])
     def test_config_with_missing_key_rejected_with_message(
             self, small_cfg, tmp_path, command):
-        d = small_cfg.to_dict()
-        del d["n_seeds"]
-        cfg_path = tmp_path / "exp.json"
-        cfg_path.write_text(json.dumps(d))
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--config", str(cfg_path),
-                  "--out", str(tmp_path / "out")])
-        assert str(exc.value.code) == (
-            f"spotform: {cfg_path}: config is missing n_seeds")
-        assert not (tmp_path / "out").exists()
+        cases = [
+            (lambda d: d.pop("n_seeds"), "config is missing n_seeds"),
+            (lambda d: d["scene"].pop("t60"), "config is missing scene.t60"),
+            (lambda d: d["scene"]["arrays"][0].pop("spacing"),
+             "config is missing scene.arrays[0].spacing"),
+            (lambda d: d.update(n_seed=3), "config has unknown keys n_seed"),
+            (lambda d: d["stft"].update(hop=256),
+             "config has unknown keys stft.hop"),
+        ]
+        for edit, message in cases:
+            d = small_cfg.to_dict()
+            edit(d)
+            cfg_path = tmp_path / "exp.json"
+            cfg_path.write_text(json.dumps(d))
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--config", str(cfg_path),
+                      "--out", str(tmp_path / "out")])
+            assert str(exc.value.code) == f"spotform: {cfg_path}: {message}"
+            assert not (tmp_path / "out").exists()
 
     def test_spotform_does_not_import_scipy_signal(self, sources, tmp_path):
         # importing scipy costs most of a short run's time and `spotform`

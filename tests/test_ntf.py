@@ -35,7 +35,6 @@ from spotform.ntf import (
     build_attractors,
     build_prop_tensor,
     evaluate_cost,
-    factorize,
     fit_ntf,
     masked_wiener,
     ntf_wiener,
@@ -48,6 +47,15 @@ def random_bf_output(rng, I=6, J=5, A=2):
     vals = rng.standard_normal((I, J, A)) + 1j * rng.standard_normal((I, J, A))
     cfg = StftConfig(window_length_ms=(I - 1) * 2 / 16, hop_ms=(I - 1) / 16)
     return BfOutputTensor(vals, cfg, 16000, J * cfg.hop)
+
+
+def initial_model(A, I, J, K, seed):
+    """The model a fit with stream seed `seed` starts from."""
+    init = np.random.default_rng(seed)
+    T = init.uniform(0.0, 1.0, size=(I, K))
+    V = init.uniform(0.0, 1.0, size=(J, K))
+    T /= T.sum(axis=0, keepdims=True)
+    return NtfModel(Z=np.full((A, K), 1.0 / A), T=T, V=V, seed=seed)
 
 
 def random_model(rng, A=2, I=4, J=3, K=3):
@@ -339,12 +347,19 @@ class TestEvaluateCost:
 
 class TestFitNtf:
     def test_cost_nonincreasing_within_each_segment(self):
+        # the cost of each iterate at the weight of its iteration
         rng = np.random.default_rng(31)
         C = PropTensor(rng.uniform(0.0, 1.0, size=(2, 10, 8)))
         sched = RegularizationSchedule(mu=50.0, warmup_iterations=20,
                                        total_iterations=60)
-        _, _, trace = fit_ntf(C, K=4, schedule=sched, seed=3)
-        for seg in (trace[:20], trace[20:]):
+        attr = build_attractors(2)
+        model, costs = initial_model(2, 10, 8, K=4, seed=3), []
+        for it in range(sched.total_iterations):
+            w = sched.weight_at(it)
+            model = update_step(model, C, attr, w, iteration=it)
+            costs.append(evaluate_cost(model, C, attr, w))
+        costs = np.array(costs)
+        for seg in (costs[:20], costs[20:]):
             slack = 1e-9 * np.maximum(1.0, np.abs(seg[:-1]))
             assert np.all(np.diff(seg) <= slack)
 
@@ -353,13 +368,12 @@ class TestFitNtf:
         C = PropTensor(rng.uniform(0.0, 1.0, size=(2, 6, 5)))
         sched = RegularizationSchedule(mu=10.0, warmup_iterations=3,
                                        total_iterations=8)
-        m1, a1, t1 = fit_ntf(C, K=3, schedule=sched, seed=9)
-        m2, a2, t2 = fit_ntf(C, K=3, schedule=sched, seed=9)
+        m1, a1 = fit_ntf(C, K=3, schedule=sched, seed=9)
+        m2, a2 = fit_ntf(C, K=3, schedule=sched, seed=9)
         assert np.array_equal(m1.Z, m2.Z)
         assert np.array_equal(m1.T, m2.T)
         assert np.array_equal(m1.V, m2.V)
         assert np.array_equal(a1.b, a2.b)
-        assert np.array_equal(t1, t2)
 
     def test_rejects_bad_k(self):
         C = PropTensor(np.ones((2, 3, 4)))
@@ -379,7 +393,7 @@ class TestFitNtf:
         C = PropTensor(planted.compose())
         sched = RegularizationSchedule(mu=1000.0, warmup_iterations=50,
                                        total_iterations=100)
-        model, _, _ = fit_ntf(C, K=3, schedule=sched, seed=0)
+        model, _ = fit_ntf(C, K=3, schedule=sched, seed=0)
         dist = np.abs(model.Z[:, :, None] - attr.P[:, None, :]).sum(axis=0)
         assert np.all(dist.min(axis=1) < 1e-3)
 
@@ -454,11 +468,10 @@ def test_single_array_reduces_to_nmf():
     sched = RegularizationSchedule(mu=0.0, warmup_iterations=0,
                                    total_iterations=7)
     nmf = fit_nmf(build_concat(Y), K=4, iterations=7, seed=42)
-    ntf, _, trace = fit_ntf(build_prop_tensor(Y), K=4, schedule=sched, seed=42)
+    ntf, _ = fit_ntf(build_prop_tensor(Y), K=4, schedule=sched, seed=42)
     assert_allclose(ntf.Z, 1.0, rtol=0, atol=1e-12)
     assert_allclose(ntf.T, nmf.T, rtol=0, atol=1e-12)
     assert_allclose(ntf.V, nmf.V, rtol=0, atol=1e-12)
-    assert_allclose(trace, nmf.cost, rtol=1e-9)
 
 
 @settings(deadline=None, max_examples=60)
@@ -483,7 +496,7 @@ def test_update_never_increases_cost(A, I, J, K, mu, seed):
 @pytest.mark.parametrize("A", [1, 2, 3])
 @pytest.mark.parametrize("mu", [0.0, 5.0])
 def test_trace_matches_cost_of_each_iterate(A, mu):
-    """The ratio-derived trace equals evaluate_cost on update_step iterates."""
+    """fit_ntf equals update_step iterated over its schedule, bit for bit."""
     rng = np.random.default_rng(71 + A)
     I, J, K, seed = 7, 9, 3, 5
     c = rng.uniform(0.0, 2.0, size=(A, I, J))
@@ -491,28 +504,14 @@ def test_trace_matches_cost_of_each_iterate(A, mu):
     C = PropTensor(c)
     sched = RegularizationSchedule(mu=mu, warmup_iterations=4,
                                    total_iterations=10)
-    model, _, trace = fit_ntf(C, K, sched, seed=seed)
+    model, assignment = fit_ntf(C, K, sched, seed=seed)
 
-    init = np.random.default_rng(seed)
-    T = init.uniform(0.0, 1.0, size=(I, K))
-    V = init.uniform(0.0, 1.0, size=(J, K))
-    T /= T.sum(axis=0, keepdims=True)
-    ref = NtfModel(Z=np.full((A, K), 1.0 / A), T=T, V=V, seed=seed)
-    attr = build_attractors(A)
-    want = []
+    ref, attr = initial_model(A, I, J, K, seed), build_attractors(A)
     for it in range(sched.total_iterations):
-        w = sched.weight_at(it)
-        ref = update_step(ref, C, attr, w, iteration=it)
-        want.append(evaluate_cost(ref, C, attr, w))
-    assert_allclose(trace, want, rtol=1e-12, atol=0)
+        ref = update_step(ref, C, attr, sched.weight_at(it), iteration=it)
     for got, exp in ((model.Z, ref.Z), (model.T, ref.T), (model.V, ref.V)):
         assert np.array_equal(got, exp)
-    weights = [sched.weight_at(it) for it in range(sched.total_iterations)]
-    untraced, empty = factorize(c, K, weights, seed, trace=False)
-    assert empty.shape == (0,)
-    for got, exp in ((untraced.Z, model.Z), (untraced.T, model.T),
-                     (untraced.V, model.V)):
-        assert np.array_equal(got, exp)
+    assert np.array_equal(assignment.b, assign_attractors(ref.Z, attr).b)
 
 
 @pytest.mark.parametrize("method", ["nmf", "ntf"])
