@@ -53,26 +53,18 @@ class BfOutputTensor:
         return self.values.shape[2]
 
 
-def _folded_rfft(h: np.ndarray, nfft: int) -> np.ndarray:
-    # time-alias to nfft so the DFT samples the true DTFT at bin frequencies
-    pad = (-len(h)) % nfft
-    return np.fft.rfft(np.pad(h, (0, pad)).reshape(-1, nfft).sum(axis=0))
-
-
 def oracle_quantities(
     rirs: RirSet, scene: Scene, cfg: StftConfig
 ) -> tuple[SteeringSet, NoiseCovarianceSet]:
     """Steering vectors and loaded noise covariances from the true RIRs."""
     if cfg.sample_rate != rirs.sample_rate:
         raise ValueError("STFT config rate does not match the RIRs")
-    A, M, S, _ = rirs.taps.shape
+    A, M, S, n_taps = rirs.taps.shape
     nfft = cfg.window_length
     I = cfg.n_bins
-    H = np.empty((A, M, S, I), dtype=np.complex128)
-    for a in range(A):
-        for m in range(M):
-            for s in range(S):
-                H[a, m, s] = _folded_rfft(rirs.taps[a, m, s], nfft)
+    # time-alias to nfft so the DFT samples the true DTFT at bin frequencies
+    taps = np.pad(rirs.taps, ((0, 0),) * 3 + ((0, (-n_taps) % nfft),))
+    H = np.fft.rfft(taps.reshape(A, M, S, -1, nfft).sum(axis=3))
     tgt = scene.target_index
     d = np.transpose(H[:, :, tgt, :], (0, 2, 1)).copy()  # (A, I, M)
     ref = d[:, :, 0]

@@ -85,8 +85,10 @@ def _cmd_run(args) -> int:
         overrides["workers"] = args.workers
     if args.out is not None:
         overrides["out_dir"] = args.out
-    if overrides:
+    try:
         cfg = replace(cfg, **overrides)
+    except ValueError as exc:
+        raise SystemExit(f"spotform: {exc}") from exc
     rows, _ = run_experiment(cfg)
     failed = sum(r.status != "ok" for r in rows)
     print(f"{len(rows)} rows ({failed} failed) -> {cfg.out_dir}/results.csv")

@@ -27,9 +27,10 @@ import csv
 import hashlib
 import itertools
 import json
+import signal
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutTimeout
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -140,6 +141,12 @@ class ExperimentConfig:
             raise ValueError("mu must be >= 0")
         if self.filter_taps < 1:
             raise ValueError("filter_taps must be >= 1")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        # setitimer cannot take more than about 9e9 s on a 64-bit clock
+        if not 0 < self.timeout_s <= 1e9:
+            raise ValueError(f"timeout_s must be a number of seconds in "
+                             f"(0, 1e9], got {self.timeout_s}")
 
     def to_dict(self) -> dict:
         """`asdict` in the shape JSON reads back: tuples become lists."""
@@ -441,11 +448,42 @@ def _init_worker(cfg: ExperimentConfig, state: PipelineState) -> None:
     _WORKER_STATE = state
 
 
+class _Deadline(BaseException):
+    """A fit group outlived its timeout_s.  Not an `Exception`, so that the
+    row-level handlers of `_run_task` and `_execute` let it through."""
+
+
 def _run_group(cfg: ExperimentConfig, state: PipelineState,
                group: list[tuple[str, int, float, int]]) -> list[ResultRow]:
-    """Rows of one fit: the first row fits, every row extracts its hyper."""
+    """Rows of one fit: the first row fits, every row extracts its hyper.
+
+    The group must finish within cfg.timeout_s of its start.  A SIGALRM
+    timer stops it there: rows done by then keep their scores, and the row
+    running and every later one fail as "timeout" with runtime_ms NaN.
+    """
     fits: dict = {}
-    return [_run_task(cfg, state, t, fits=fits)[0] for t in group]
+    rows: list[ResultRow] = []
+    running = True
+
+    def on_alarm(signum, frame):
+        if running:  # an alarm after the last row changes nothing
+            raise _Deadline
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, cfg.timeout_s)
+        for t in group:
+            rows.append(_run_task(cfg, state, t, fits=fits)[0])
+        running = False
+    except _Deadline:
+        rows += [ResultRow(method, cfg.scene.n_arrays, cfg.scene.t60, k,
+                           hyper, s, float("nan"), float("nan"), float("nan"),
+                           "failed", "timeout")
+                 for method, k, hyper, s in group[len(rows):]]
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    return rows
 
 
 def _worker_run(group: list[tuple[str, int, float, int]]) -> list[ResultRow]:
@@ -458,34 +496,26 @@ def run_experiment(cfg: ExperimentConfig
 
     The unit of work is one fit: the rows sharing a `_fit_key` form a group,
     so each (K, seed index) fits NMF once and thresholds every tau on it,
-    and each ntf row is a group of its own.  Single-worker sweeps run the
-    groups inline (no preemption, so timeout_s is not enforced); multi-worker
-    sweeps submit one group per pool task and wait timeout_s times the
-    group's row count for it.  A group past that wait fails every one of its
-    rows as "timeout" with runtime_ms NaN (no row finished, so none was
-    timed), and the sweep continues.
+    and each ntf row is a group of its own.  With workers = 1 the groups run
+    inline, otherwise one pool task each; either way `_run_group` gives each
+    group timeout_s from its start.  Past that, the rows already done keep
+    their scores, the rest fail as "timeout" with runtime_ms NaN, and the
+    sweep goes on.  The deadline is a SIGALRM timer, so the sweep must run
+    in the main thread on a POSIX system, and it takes over SIGALRM and
+    ITIMER_REAL while a group runs.
     """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     state = prepare_pipeline(cfg)
     groups = _group_tasks(enumerate_tasks(cfg))
-    if cfg.workers <= 1:
-        rows = [r for g in groups for r in _run_group(cfg, state, g)]
+    if cfg.workers == 1:
+        done = [_run_group(cfg, state, g) for g in groups]
     else:
-        rows = []
         with ProcessPoolExecutor(max_workers=cfg.workers,
                                  initializer=_init_worker,
                                  initargs=(cfg, state)) as pool:
-            futures = [pool.submit(_worker_run, g) for g in groups]
-            for g, fut in zip(groups, futures):
-                try:
-                    rows += fut.result(timeout=cfg.timeout_s * len(g))
-                except FutTimeout:
-                    rows += [ResultRow(
-                        method, cfg.scene.n_arrays, cfg.scene.t60, k, hyper,
-                        s, float("nan"), float("nan"), float("nan"),
-                        "failed", "timeout")
-                        for method, k, hyper, s in g]
+            done = list(pool.map(_worker_run, groups))
+    rows = [r for g in done for r in g]
     rows.sort(key=ResultRow.sort_key)
     stats = _aggregate_rows(rows)
     write_results_csv(out / "results.csv", rows)

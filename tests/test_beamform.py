@@ -95,6 +95,23 @@ class TestSteering:
         H2 = direct_dtft(rs.taps[0, 2, 0], CFG.n_bins, CFG.window_length)
         assert_allclose(d.values[0, :, 2], H2 / H0, atol=1e-8)
 
+    def test_matches_folding_each_rir_on_its_own(self):
+        # all RIRs are folded in one batch; each must come out bit for bit
+        # as if folded alone
+        sc = default_scene(3, t60=0.3)
+        rs = simulate_rirs(sc)
+        nfft = CFG.window_length
+
+        def folded_rfft(h):
+            h = np.pad(h, (0, (-len(h)) % nfft))
+            return np.fft.rfft(h.reshape(-1, nfft).sum(axis=0))
+
+        d, _ = oracle_quantities(rs, sc, CFG)
+        for a in range(sc.n_arrays):
+            taps = rs.taps[a, :, sc.target_index]
+            H = np.stack([folded_rfft(h) for h in taps], axis=1)
+            np.testing.assert_array_equal(d.values[a], H / H[:, :1])
+
 
 class TestCovariance:
     def test_zero_interferers_scaled_identity(self):

@@ -7,8 +7,10 @@ everything except the runtime column, which is wall-clock by nature.
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -160,6 +162,18 @@ class TestConfig:
         with pytest.raises(ValueError, match=match):
             replace(small_cfg, **{field: grid})
 
+
+    # setitimer turns 0 into no deadline and raises mid-sweep on the others
+    @pytest.mark.parametrize("timeout_s", [0.0, -1.0, float("inf"),
+                                           float("nan"), 1e10])
+    def test_timeout_outside_timer_range_rejected(self, small_cfg, timeout_s):
+        with pytest.raises(ValueError, match="timeout_s"):
+            replace(small_cfg, timeout_s=timeout_s)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, small_cfg, workers):
+        with pytest.raises(ValueError, match="workers"):
+            replace(small_cfg, workers=workers)
 
     def test_missing_keys_rejected(self, small_cfg):
         # a gap is not filled with the default sweep
@@ -449,13 +463,89 @@ class TestRunExperiment:
 
     def test_group_timeout_fails_every_row_of_the_group(self, tau_cfg,
                                                         tmp_path):
-        # no fit finishes within microseconds of submission
+        # no fit finishes within microseconds of its group's start
         rows, _ = run_experiment(replace(tau_cfg, workers=2, timeout_s=1e-6,
                                          out_dir=str(tmp_path)))
         assert len(rows) == 6
         # no row finished, so no runtime was measured
         assert all(r.status == "failed" and r.reason == "timeout"
                    and np.isnan(r.runtime_ms) for r in rows)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_hung_group_ends_on_time(self, tau_cfg, tmp_path, monkeypatch,
+                                     workers):
+        hung = derive_seed(tau_cfg.master_seed, "nmf", 4, 0.0, 1)
+        fit_nmf = harness.fit_nmf
+
+        def hanging_fit_nmf(C, K, iterations, seed):
+            if seed == hung:
+                time.sleep(30)
+            return fit_nmf(C, K, iterations, seed)
+
+        monkeypatch.setattr(harness, "fit_nmf", hanging_fit_nmf)
+        cfg = replace(tau_cfg, workers=workers, timeout_s=1.0,
+                      out_dir=str(tmp_path))
+        start = time.perf_counter()
+        rows, _ = run_experiment(cfg)
+        assert time.perf_counter() - start < cfg.timeout_s + 2.0
+        assert len(rows) == 6
+        for r in rows:
+            if r.seed == 1:
+                assert r.status == "failed" and r.reason == "timeout"
+                assert np.isnan(r.runtime_ms)
+            else:
+                assert r.status == "ok" and np.isfinite(r.runtime_ms)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rows_before_the_deadline_keep_their_scores(
+            self, tau_cfg, tau_sweep, tmp_path, monkeypatch, workers):
+        # seed 1's group overruns at its second tau, after its first row
+        hung = derive_seed(tau_cfg.master_seed, "nmf", 4, 0.0, 1)
+        fit_nmf, extract = harness.fit_nmf, harness._extract
+        hung_models = []
+
+        def marking_fit_nmf(C, K, iterations, seed):
+            model = fit_nmf(C, K, iterations, seed)
+            if seed == hung:
+                hung_models.append(model)
+            return model
+
+        def hanging_extract(Y, method, fit, hyper):
+            if (any(fit is m for m in hung_models)
+                    and hyper == tau_cfg.tau_grid[1]):
+                time.sleep(30)
+            return extract(Y, method, fit, hyper)
+
+        monkeypatch.setattr(harness, "fit_nmf", marking_fit_nmf)
+        monkeypatch.setattr(harness, "_extract", hanging_extract)
+        cfg = replace(tau_cfg, workers=workers, timeout_s=1.0,
+                      out_dir=str(tmp_path))
+        start = time.perf_counter()
+        rows, _ = run_experiment(cfg)
+        assert time.perf_counter() - start < cfg.timeout_s + 2.0
+        for r, want in zip(rows, tau_sweep, strict=True):
+            if r.seed == 1 and r.tau_or_mu != tau_cfg.tau_grid[0]:
+                assert r.status == "failed" and r.reason == "timeout"
+                assert np.isnan(r.runtime_ms)
+            else:
+                assert r.status == "ok"
+                assert r.sdr_filtered_db == want.sdr_filtered_db
+
+    def test_sweep_leaves_no_timer_or_handler(self, tau_cfg, tmp_path):
+        def stray(signum, frame):
+            raise AssertionError("SIGALRM after the sweep")
+
+        previous = signal.signal(signal.SIGALRM, stray)
+        try:
+            for timeout_s, status in ((600.0, "ok"), (1e-6, "failed")):
+                rows, _ = run_experiment(replace(
+                    tau_cfg, timeout_s=timeout_s,
+                    out_dir=str(tmp_path / str(timeout_s))))
+                assert all(r.status == status for r in rows)
+                assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+                assert signal.getsignal(signal.SIGALRM) is stray
+        finally:
+            signal.signal(signal.SIGALRM, previous)
 
     def test_missing_combination_listed_in_manifest(self, small_cfg,
                                                     experiment, tmp_path,
@@ -680,6 +770,25 @@ class TestCli:
         cfg.save(cfg_path)
         assert main(["run", "--config", str(cfg_path)]) == 0
         assert (tmp_path / "cli_out" / "results.csv").exists()
+
+    def test_run_rejects_bad_pool_settings_with_message(self, small_cfg,
+                                                        tmp_path):
+        cfg_path = tmp_path / "exp.json"
+        small_cfg.save(cfg_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg_path), "--workers", "0",
+                  "--out", str(tmp_path / "out")])
+        assert str(exc.value.code) == "spotform: workers must be >= 1, got 0"
+        d = small_cfg.to_dict()
+        d["timeout_s"] = 0
+        cfg_path.write_text(json.dumps(d))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg_path),
+                  "--out", str(tmp_path / "out")])
+        assert str(exc.value.code) == (
+            f"spotform: {cfg_path}: timeout_s must be a number of seconds "
+            "in (0, 1e9], got 0")
+        assert not (tmp_path / "out").exists()
 
     def test_run_out_override(self, small_cfg, tmp_path, capsys):
         cfg = replace(small_cfg, methods=("bf-only",), n_seeds=1)
