@@ -52,12 +52,15 @@ def _cmd_simulate(args) -> int:
         cfg = ExperimentConfig(scene=scene,
                                source_paths=tuple(str(p) for p in paths),
                                out_dir=str(out))
-    out.mkdir(parents=True, exist_ok=True)
     scene = cfg.scene
-    sources = load_sources(cfg)
-    rirs = simulate_rirs(scene)
+    try:
+        sources = load_sources(cfg)
+        rirs = simulate_rirs(scene)
+        obs = render_observations(sources, rirs)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"spotform: {exc}") from exc
+    out.mkdir(parents=True, exist_ok=True)
     save_rirs(out / "rirs.npz", rirs)
-    obs = render_observations(sources, rirs)
     for a in range(scene.n_arrays):
         for m in range(obs.mixture.shape[1]):
             write_wav(out / f"obs_a{a}m{m}.wav",
@@ -87,9 +90,9 @@ def _cmd_run(args) -> int:
         overrides["out_dir"] = args.out
     try:
         cfg = replace(cfg, **overrides)
-    except ValueError as exc:
+        rows, _ = run_experiment(cfg)
+    except (OSError, ValueError) as exc:
         raise SystemExit(f"spotform: {exc}") from exc
-    rows, _ = run_experiment(cfg)
     failed = sum(r.status != "ok" for r in rows)
     print(f"{len(rows)} rows ({failed} failed) -> {cfg.out_dir}/results.csv")
     return 0 if failed == 0 else 1

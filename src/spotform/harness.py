@@ -27,12 +27,14 @@ import csv
 import hashlib
 import itertools
 import json
+import math
 import signal
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -52,13 +54,7 @@ from spotform.ntf import (
     fit_ntf,
     ntf_wiener,
 )
-from spotform.roomsim import (
-    MicArray,
-    Scene,
-    SourcePlacement,
-    render_observations,
-    simulate_rirs,
-)
+from spotform.roomsim import Scene, render_observations, simulate_rirs
 from spotform.signal import (
     ComplexSpectrogram,
     StftConfig,
@@ -80,13 +76,64 @@ RESULT_FIELDS = (
 )
 
 
-def _missing_keys(cls, d: dict, prefix: str = "") -> list[str]:
-    return [prefix + f.name for f in fields(cls) if f.name not in d]
+# what a field of each scalar type is called and which JSON values it takes
+_SCALARS = {int: ("integer", (int,)), float: ("number", (int, float)),
+            str: ("string", (str,))}
 
 
-def _unknown_keys(cls, d: dict, prefix: str = "") -> list[str]:
-    names = {f.name for f in fields(cls)}
-    return [prefix + key for key in d if key not in names]
+def from_json(tp, value):
+    """`value`, as `json.load` read it, built into the type `tp`.
+
+    A JSON object becomes the dataclass `tp`, every field a required key,
+    and a list the tuple `tp`, of the length its type fixes.  An int takes
+    integers, a float integers or floats (kept as read), a str strings, and
+    a boolean is never a number.  Every missing key, unknown key and
+    wrong-typed value is named by its path, such as scene.arrays[0].n_mics,
+    in one ValueError.
+    """
+    problems = ([], [], [])
+    out = _from_json(tp, value, "", problems)
+    clauses = [f"config {verb} {', '.join(found)}" for verb, found in zip(
+        ("is missing", "has unknown keys", "has wrong types at"), problems)
+        if found]
+    if clauses:
+        raise ValueError("; ".join(clauses))
+    return out
+
+
+def _from_json(tp, value, path: str, problems):
+    """One node of `from_json`: the built value, or None once `problems`
+    (missing, unknown, wrong-typed) holds anything.  Dataclasses are built
+    only while it is empty, so their own checks see well-typed values."""
+    missing, unknown, wrong = problems
+    args = get_args(tp)
+    if is_dataclass(tp):
+        want, ok = "object", type(value) is dict
+    elif get_origin(tp) is not tuple:
+        want, accepts = _SCALARS[tp]
+        ok = type(value) in accepts
+    elif args[-1] is Ellipsis:
+        want, ok = "list", type(value) is list
+    else:
+        want = f"list of {len(args)}"
+        ok = type(value) is list and len(value) == len(args)
+    if not ok:
+        wrong.append(f"{path or 'top level'} (expected {want})")
+        return None
+    if is_dataclass(tp):
+        hints = get_type_hints(tp)
+        names = [f.name for f in fields(tp)]
+        prefix = path + "." if path else ""
+        missing += [prefix + n for n in names if n not in value]
+        unknown += [prefix + key for key in value if key not in names]
+        kwargs = {n: _from_json(hints[n], value[n], prefix + n, problems)
+                  for n in names if n in value}
+        return None if any(problems) else tp(**kwargs)
+    if get_origin(tp) is tuple:
+        types = itertools.repeat(args[0]) if args[-1] is Ellipsis else args
+        return tuple(_from_json(t, v, f"{path}[{i}]", problems)
+                     for i, (t, v) in enumerate(zip(types, value)))
+    return value
 
 
 @dataclass(frozen=True)
@@ -135,10 +182,11 @@ class ExperimentConfig:
             raise ValueError("mu grid is empty but ntf selected")
         if any(k < 1 for k in self.k_grid):
             raise ValueError("K must be >= 1")
-        if any(t < 0 for t in self.tau_grid):
-            raise ValueError("tau must be >= 0")
-        if any(m < 0 for m in self.mu_grid):
-            raise ValueError("mu must be >= 0")
+        # NaN fails both comparisons; json reads NaN and Infinity
+        if not all(0 <= t < math.inf for t in self.tau_grid):
+            raise ValueError("tau must be finite and >= 0")
+        if not all(0 <= m < math.inf for m in self.mu_grid):
+            raise ValueError("mu must be finite and >= 0")
         if self.filter_taps < 1:
             raise ValueError("filter_taps must be >= 1")
         if self.workers < 1:
@@ -154,34 +202,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        """The inverse of `to_dict`.  A missing key is an error, not a
-        default, and so is a key no field reads."""
-        scene = d.get("scene", {})
-        parts = [(cls, d, "")]
-        if "stft" in d:
-            parts.append((StftConfig, d["stft"], "stft."))
-        if "scene" in d:
-            parts.append((Scene, scene, "scene."))
-        parts += [(MicArray, a, f"scene.arrays[{i}].")
-                  for i, a in enumerate(scene.get("arrays", ()))]
-        parts += [(SourcePlacement, s, f"scene.sources[{i}].")
-                  for i, s in enumerate(scene.get("sources", ()))]
-        missing = [key for p in parts for key in _missing_keys(*p)]
-        unknown = [key for p in parts for key in _unknown_keys(*p)]
-        problems = []
-        if missing:
-            problems.append(f"config is missing {', '.join(missing)}")
-        if unknown:
-            problems.append(f"config has unknown keys {', '.join(unknown)}")
-        if problems:
-            raise ValueError("; ".join(problems))
-        d = dict(d)
-        d["scene"] = Scene.from_dict(d["scene"])
-        d["stft"] = StftConfig(**d["stft"])
-        for key in ("source_paths", "methods", "k_grid", "tau_grid", "mu_grid"):
-            if key in d:
-                d[key] = tuple(d[key])
-        return cls(**d)
+        """The inverse of `to_dict`; `from_json` says what it rejects."""
+        return from_json(cls, d)
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=1))
@@ -494,6 +516,8 @@ def run_experiment(cfg: ExperimentConfig
                    ) -> tuple[list[ResultRow], dict[tuple, AggregateStats]]:
     """Run the full sweep; writes results.csv, summary.csv and manifest.json.
 
+    out_dir is created after `prepare_pipeline`, so a setup error (a source
+    that cannot be read, an unreachable t60) leaves no directory behind.
     The unit of work is one fit: the rows sharing a `_fit_key` form a group,
     so each (K, seed index) fits NMF once and thresholds every tau on it,
     and each ntf row is a group of its own.  With workers = 1 the groups run
@@ -504,9 +528,9 @@ def run_experiment(cfg: ExperimentConfig
     in the main thread on a POSIX system, and it takes over SIGALRM and
     ITIMER_REAL while a group runs.
     """
+    state = prepare_pipeline(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    state = prepare_pipeline(cfg)
     groups = _group_tasks(enumerate_tasks(cfg))
     if cfg.workers == 1:
         done = [_run_group(cfg, state, g) for g in groups]

@@ -63,11 +63,6 @@ class Scene:
     speed_of_sound: float = 343.0
 
     def __post_init__(self):
-        object.__setattr__(self, "arrays", tuple(self.arrays))
-        object.__setattr__(self, "sources", tuple(self.sources))
-        self._validate()
-
-    def _validate(self):
         lx, ly = self.room
         if lx <= 0 or ly <= 0:
             raise ValueError("degenerate geometry: room sides must be positive")
@@ -109,24 +104,6 @@ class Scene:
     def to_dict(self) -> dict:
         """`asdict` in the shape JSON reads back: tuples become lists."""
         return json.loads(json.dumps(asdict(self)))
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Scene":
-        return cls(
-            room=tuple(d["room"]),
-            arrays=tuple(
-                MicArray(center=tuple(a["center"]), look=a["look"],
-                         n_mics=a["n_mics"], spacing=a["spacing"])
-                for a in d["arrays"]
-            ),
-            sources=tuple(
-                SourcePlacement(position=tuple(s["position"]), kind=s["kind"])
-                for s in d["sources"]
-            ),
-            t60=d["t60"],
-            sample_rate=d["sample_rate"],
-            speed_of_sound=d["speed_of_sound"],
-        )
 
 
 def default_scene(n_arrays: int = 2, t60: float = 0.3) -> Scene:
@@ -348,7 +325,8 @@ def render_observations(sources: list[Waveform], rirs: RirSet) -> ObservationTen
 
 def save_rirs(path, rirs: RirSet) -> None:
     """Persist a RirSet to .npz under the keys `taps`, `sample_rate`,
-    `reflection` and `scene_json` (the scene's `to_dict` as UTF-8 JSON)."""
+    `reflection` and `scene_json` (the scene's `to_dict` as UTF-8 JSON,
+    which `harness.from_json(Scene, ...)` reads back)."""
     np.savez_compressed(
         path,
         taps=rirs.taps,

@@ -72,10 +72,6 @@ class Waveform:
         return self.samples.shape[0]
 
     @property
-    def duration(self) -> float:
-        return len(self) / self.sample_rate
-
-    @property
     def energy(self) -> float:
         return float(np.sum(self.samples**2))
 
@@ -95,10 +91,6 @@ class ComplexSpectrogram:
             raise ValueError(
                 f"expected {self.config.n_bins} bins, got {self.values.shape[0]}"
             )
-
-    @property
-    def n_bins(self) -> int:
-        return self.values.shape[0]
 
     @property
     def n_frames(self) -> int:

@@ -155,7 +155,11 @@ class TestConfig:
         ("k_grid", (4, 0), "K"),
         ("tau_grid", (0.05, -0.1), "tau"),
         ("mu_grid", (-1.0,), "mu"),
-    ], ids=["k", "tau", "mu"])
+        ("tau_grid", (float("nan"),), "tau"),
+        ("tau_grid", (0.05, float("inf")), "tau"),
+        ("mu_grid", (float("nan"),), "mu"),
+        ("mu_grid", (10.0, float("inf")), "mu"),
+    ], ids=["k", "tau", "mu", "tau-nan", "tau-inf", "mu-nan", "mu-inf"])
     def test_grid_entry_out_of_range_rejected(self, small_cfg, field, grid,
                                               match):
         # rejected before any fit, not at every row of the sweep
@@ -708,17 +712,66 @@ class TestCli:
             (lambda d: d.update(n_seed=3), "config has unknown keys n_seed"),
             (lambda d: d["stft"].update(hop=256),
              "config has unknown keys stft.hop"),
+            (lambda d: d.update(n_seeds="3"),
+             "config has wrong types at n_seeds (expected integer)"),
+            (lambda d: d.update(n_seeds=1.5),
+             "config has wrong types at n_seeds (expected integer)"),
+            (lambda d: d.update(k_grid=10),
+             "config has wrong types at k_grid (expected list)"),
+            (lambda d: d.update(k_grid=[10.5]),
+             "config has wrong types at k_grid[0] (expected integer)"),
+            (lambda d: d.update(methods="nmf"),
+             "config has wrong types at methods (expected list)"),
+            (lambda d: d.update(scene=[]),
+             "config has wrong types at scene (expected object)"),
+            (lambda d: d["scene"].update(room=[6.0]),
+             "config has wrong types at scene.room (expected list of 2)"),
+            (lambda d: d["scene"]["arrays"][0].update(n_mics="3"),
+             "config has wrong types at scene.arrays[0].n_mics "
+             "(expected integer)"),
+            (lambda d: d["stft"].update(window=5),
+             "config has wrong types at stft.window (expected string)"),
+            (lambda d: d.update(workers=True),
+             "config has wrong types at workers (expected integer)"),
+            (lambda d: (d.pop("k_grid"), d.update(n_seed=3, n_seeds="3")),
+             "config is missing k_grid; config has unknown keys n_seed; "
+             "config has wrong types at n_seeds (expected integer)"),
         ]
+        texts = []
         for edit, message in cases:
             d = small_cfg.to_dict()
             edit(d)
+            texts.append((json.dumps(d), message))
+        texts.append(("[]", "config has wrong types at top level "
+                            "(expected object)"))
+        for text, message in texts:
             cfg_path = tmp_path / "exp.json"
-            cfg_path.write_text(json.dumps(d))
+            cfg_path.write_text(text)
             with pytest.raises(SystemExit) as exc:
                 main([command, "--config", str(cfg_path),
                       "--out", str(tmp_path / "out")])
             assert str(exc.value.code) == f"spotform: {cfg_path}: {message}"
             assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "simulate"])
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["source_paths"].__setitem__(0, "no_such.wav"),
+         "No such file"),
+        (lambda d: d["scene"].update(t60=10.0), "t60 unreachable"),
+    ], ids=["missing-source", "t60-unreachable"])
+    def test_setup_failure_ends_with_message(self, small_cfg, tmp_path,
+                                             command, edit, message):
+        # fails before anything is written, so no empty --out is left
+        d = small_cfg.to_dict()
+        edit(d)
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(d))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg_path),
+                  "--out", str(tmp_path / "out")])
+        assert str(exc.value.code).startswith("spotform: ")
+        assert message in str(exc.value.code)
+        assert not (tmp_path / "out").exists()
 
     def test_spotform_does_not_import_scipy_signal(self, sources, tmp_path):
         # importing scipy costs most of a short run's time and `spotform`

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from spotform.harness import from_json
 from spotform.roomsim import (
     MicArray,
     Scene,
@@ -275,12 +276,13 @@ class TestPersistence:
             assert_allclose(z["taps"], rs.taps)
             assert int(z["sample_rate"]) == rs.sample_rate
             assert float(z["reflection"]) == rs.reflection
-            scene = Scene.from_dict(json.loads(bytes(z["scene_json"]).decode()))
+            scene = from_json(Scene, json.loads(bytes(z["scene_json"]).decode()))
         assert scene == rs.scene
 
     def test_scene_dict_roundtrip(self):
-        sc = default_scene(3, t60=0.42)
-        assert Scene.from_dict(sc.to_dict()) == sc
+        for n_arrays in (1, 2, 3):
+            sc = default_scene(n_arrays, t60=0.42)
+            assert from_json(Scene, sc.to_dict()) == sc
 
 
 @given(
