@@ -64,10 +64,14 @@ class Scene:
 
     def __post_init__(self):
         lx, ly = self.room
+        if not (math.isfinite(lx) and math.isfinite(ly)):
+            raise ValueError("room sides must be finite")
         if lx <= 0 or ly <= 0:
             raise ValueError("degenerate geometry: room sides must be positive")
-        if self.t60 < 0:
-            raise ValueError("t60 must be nonnegative")
+        if not (math.isfinite(self.t60) and self.t60 >= 0):
+            raise ValueError("t60 must be finite and nonnegative")
+        if not math.isfinite(self.speed_of_sound):
+            raise ValueError("speed_of_sound must be finite")
         if self.sample_rate <= 0 or self.speed_of_sound <= 0:
             raise ValueError("sample_rate and speed_of_sound must be positive")
         if not self.arrays:
@@ -295,8 +299,13 @@ def simulate_rirs(scene: Scene) -> RirSet:
 
 
 def render_observations(sources: list[Waveform], rirs: RirSet) -> ObservationTensor:
-    """Convolve each dry source with its RIRs and sum into mic mixtures."""
-    import scipy.signal  # lazy: about 1 s to import, unused by `spotform`
+    """Convolve each dry source with its RIRs and sum into mic mixtures.
+
+    Each image is the full linear convolution done the way
+    `scipy.signal.fftconvolve` does it, so the samples match it bit for bit,
+    with each source transformed once for all its RIRs.
+    """
+    import scipy.fft  # lazy: see evaluate.prepare_reference
 
     scene = rirs.scene
     if len(sources) != scene.n_sources:
@@ -313,10 +322,14 @@ def render_observations(sources: list[Waveform], rirs: RirSet) -> ObservationTen
     out_len = n + rirs.n_taps - 1
     images = np.zeros((scene.n_sources, A, M, out_len))
     for s_idx, src in enumerate(sources):
-        for a in range(A):
-            for m in range(M):
-                y = scipy.signal.fftconvolve(src.samples, rirs.taps[a, m, s_idx])
-                images[s_idx, a, m, : len(y)] = y
+        length = len(src) + rirs.n_taps - 1
+        size = scipy.fft.next_fast_len(length, real=True)
+        spectrum = scipy.fft.rfft(src.samples, size)
+        responses = scipy.fft.rfft(rirs.taps[:, :, s_idx], size, axis=-1)
+        # source times RIR, fftconvolve's order: numpy's complex product
+        # may round its imaginary part differently with the operands swapped
+        images[s_idx, :, :, :length] = scipy.fft.irfft(
+            spectrum * responses, size, axis=-1)[..., :length]
     return ObservationTensor(
         mixture=images.sum(axis=0), images=images,
         sample_rate=rirs.sample_rate, scene=scene,

@@ -31,6 +31,9 @@ class StftConfig:
             raise ValueError("sample_rate must be positive")
         if self.window != "hann":
             raise ValueError(f"unsupported window: {self.window!r}")
+        if not (math.isfinite(self.window_length_ms)
+                and math.isfinite(self.hop_ms)):
+            raise ValueError("window_length_ms and hop_ms must be finite")
         win = self.window_length_ms * self.sample_rate / 1000.0
         hop = self.hop_ms * self.sample_rate / 1000.0
         if abs(win - round(win)) > 1e-9 or abs(hop - round(hop)) > 1e-9:

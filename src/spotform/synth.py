@@ -10,6 +10,7 @@ place of recorded WAVs.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,16 @@ from spotform.signal import Waveform, normalize_energy, write_wav
 
 DEFAULT_F0S = (140.0, 95.0, 210.0, 180.0, 120.0)
 N_HARMONICS = 44
+
+
+def _breath_filter(noise: np.ndarray) -> np.ndarray:
+    """One-pole lowpass y[n] = x[n] + 0.95 y[n-1], from rest.
+
+    The recurrence is the arithmetic `scipy.signal.lfilter([1.0], [1.0,
+    -0.95], x)` does, so its samples match lfilter's bit for bit.
+    """
+    return np.array(list(accumulate(noise.tolist(),
+                                    lambda y, x: x + 0.95 * y)))
 
 
 def harmonic_voice(
@@ -31,8 +42,6 @@ def harmonic_voice(
     The formants move slowly, so the short-time spectrum keeps changing and
     a low-rank factorization genuinely needs many bases to track it.
     """
-    import scipy.signal  # lazy: about 1 s to import, unused by `spotform`
-
     rng = np.random.default_rng(seed)
     n = int(round(duration_s * sample_rate))
     t = np.arange(n) / sample_rate
@@ -62,7 +71,7 @@ def harmonic_voice(
         x += gain * np.sin(h * phase + rng.uniform(0, 2 * np.pi))
 
     # breathy noise floor, lowpassed and carried by the same envelope
-    breath = scipy.signal.lfilter([1.0], [1.0, -0.95], rng.standard_normal(n))
+    breath = _breath_filter(rng.standard_normal(n))
     x += 0.15 * np.sqrt(np.mean(x**2) / np.mean(breath**2)) * breath
 
     # syllabic modulation: 3-5 Hz raised cosine, never fully gated

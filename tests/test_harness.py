@@ -736,6 +736,22 @@ class TestCli:
             (lambda d: (d.pop("k_grid"), d.update(n_seed=3, n_seeds="3")),
              "config is missing k_grid; config has unknown keys n_seed; "
              "config has wrong types at n_seeds (expected integer)"),
+            (lambda d: d["scene"].update(t60=float("inf")),
+             "t60 must be finite and nonnegative"),
+            (lambda d: d["scene"].update(t60=float("nan")),
+             "t60 must be finite and nonnegative"),
+            (lambda d: d["scene"].update(speed_of_sound=float("inf")),
+             "speed_of_sound must be finite"),
+            (lambda d: d["scene"].update(speed_of_sound=float("nan")),
+             "speed_of_sound must be finite"),
+            (lambda d: d["scene"]["room"].__setitem__(0, float("inf")),
+             "room sides must be finite"),
+            (lambda d: d["scene"]["room"].__setitem__(1, float("nan")),
+             "room sides must be finite"),
+            (lambda d: d["stft"].update(window_length_ms=float("inf")),
+             "window_length_ms and hop_ms must be finite"),
+            (lambda d: d["stft"].update(hop_ms=float("nan")),
+             "window_length_ms and hop_ms must be finite"),
         ]
         texts = []
         for edit, message in cases:
@@ -793,6 +809,32 @@ class TestCli:
                        env=dict(os.environ, PYTHONPATH=src),
                        timeout=120)
         assert (tmp_path / "spot" / "estimate_fused.wav").exists()
+
+    def test_simulate_and_sweep_do_not_import_scipy_signal(self, small_cfg,
+                                                           tmp_path):
+        # scipy.signal costs about a second and 40 MB, and only resampling a
+        # source recorded at another rate needs it: writing the demo
+        # sources, an inline sweep and `spotform simulate` must not load it
+        cfg = replace(small_cfg, workers=1, out_dir=str(tmp_path / "run"))
+        script = (
+            "import sys\n"
+            "from spotform.cli import main\n"
+            "from spotform.harness import ExperimentConfig, run_experiment\n"
+            "from spotform.synth import write_demo_sources\n"
+            f"write_demo_sources({str(tmp_path / 'src')!r}, 3, 0.5, 16000)\n"
+            "assert 'scipy.signal' not in sys.modules\n"
+            f"run_experiment(ExperimentConfig.from_dict({cfg.to_dict()!r}))\n"
+            "assert 'scipy.signal' not in sys.modules\n"
+            "assert main(['simulate', '--duration', '0.5', '--out', "
+            f"{str(tmp_path / 'sim')!r}]) == 0\n"
+            "assert 'scipy.signal' not in sys.modules\n"
+        )
+        src = str(Path(spotform.__file__).parents[1])
+        subprocess.run([sys.executable, "-c", script], check=True,
+                       env=dict(os.environ, PYTHONPATH=src),
+                       timeout=120)
+        assert (tmp_path / "run" / "results.csv").exists()
+        assert (tmp_path / "sim" / "rirs.npz").exists()
 
     def test_prepared_pipeline_has_scipy_scoring_loaded(self, small_cfg):
         # the sweep prepares in its parent before the pool forks, so workers

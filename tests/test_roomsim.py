@@ -264,6 +264,28 @@ class TestRender:
                 [Waveform(np.ones(10), 8000), Waveform(np.ones(10), 8000)], rs
             )
 
+    @pytest.mark.parametrize("t60", [0.0, 0.3, 0.6])
+    @pytest.mark.parametrize("n_arrays", [1, 2, 3])
+    def test_images_match_scipy_fftconvolve_bit_for_bit(self, n_arrays, t60):
+        # the render does fftconvolve's arithmetic itself to keep
+        # scipy.signal off the simulate and sweep paths; sources of unequal
+        # length each get their own FFT size, as fftconvolve gives them
+        import scipy.signal
+
+        rs = simulate_rirs(default_scene(n_arrays, t60))
+        rng = np.random.default_rng(n_arrays)
+        srcs = [Waveform(rng.standard_normal(3000 + 700 * s), FS)
+                for s in range(rs.taps.shape[2])]
+        obs = render_observations(srcs, rs)
+        ref = np.zeros_like(obs.images)
+        for s, src in enumerate(srcs):
+            for a in range(rs.taps.shape[0]):
+                for m in range(rs.taps.shape[1]):
+                    y = scipy.signal.fftconvolve(src.samples, rs.taps[a, m, s])
+                    ref[s, a, m, : len(y)] = y
+        np.testing.assert_array_equal(obs.images, ref)
+        np.testing.assert_array_equal(obs.mixture, ref.sum(axis=0))
+
 
 class TestPersistence:
     def test_save_load_roundtrip(self, tmp_path):
