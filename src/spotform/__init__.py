@@ -9,7 +9,7 @@ across arrays.
 
 Modules
 -------
-signal    STFT analysis/synthesis, resampling, WAV I/O.
+signal    STFT analysis/synthesis, FFT sizes, resampling, WAV I/O.
 roomsim   2-D image-method room simulator and scene description.
 beamform  Oracle MVDR beamforming per array, plus a delay-and-sum reference.
 nmf       Baseline: NMF on the concatenated spectrograms + threshold mask.

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from spotform.roomsim import ObservationTensor, RirSet, Scene
-from spotform.signal import StftConfig, Waveform, frame_count, stft
+from spotform.signal import StftConfig, Waveform, frame_count, next_fast_len, stft
 
 DIAGONAL_LOADING = 1e-3
 _COND_LIMIT = 1e12
@@ -109,30 +109,15 @@ def mvdr(X: ObservationTensor, d: SteeringSet,
     return BfOutputTensor(Y, cfg, X.sample_rate, L)
 
 
-def _next_fast_len(n: int) -> int:
-    """Smallest 2^a 3^b 5^c >= n, as `scipy.fft.next_fast_len(n, real=True)`."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            # the smallest p35 * 2^a >= n
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
 def _xcorr_full(x: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Full cross-correlation of equal-length real signals, lags -(n-1)..n-1.
 
     The FFT convolution of x with ref reversed, at the FFT size
     `scipy.signal.correlate(x, ref, mode="full")` uses when it picks its FFT
-    method, done with `numpy.fft` so that the `spotform` command loads no
-    scipy.
+    method.
     """
     m = 2 * len(x) - 1
-    size = _next_fast_len(m)
+    size = next_fast_len(m)
     spec = np.fft.rfft(x, size) * np.fft.rfft(ref[::-1], size)
     return np.fft.irfft(spec, size)[:m]
 

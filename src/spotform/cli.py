@@ -33,9 +33,10 @@ from spotform.signal import StftConfig, Waveform, read_wav, stft, write_wav
 from spotform.synth import write_demo_sources
 
 
-def _load_config(path) -> ExperimentConfig:
+def _load(load, path):
+    """`load(path)`, ending an unreadable or invalid file with its message."""
     try:
-        return ExperimentConfig.load(path)
+        return load(path)
     except (OSError, ValueError) as exc:
         raise SystemExit(f"spotform: {path}: {exc}") from exc
 
@@ -43,7 +44,7 @@ def _load_config(path) -> ExperimentConfig:
 def _cmd_simulate(args) -> int:
     out = Path(args.out)
     if args.config:
-        cfg = _load_config(args.config)
+        cfg = _load(ExperimentConfig.load, args.config)
     else:
         scene = default_scene(n_arrays=args.arrays, t60=args.t60)
         paths = write_demo_sources(out / "sources", scene.n_sources,
@@ -80,7 +81,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load(ExperimentConfig.load, args.config)
     overrides = {}
     if args.seed is not None:
         overrides["master_seed"] = args.seed
@@ -116,7 +117,7 @@ def _check_spotform_args(args) -> None:
 
 def _cmd_spotform(args) -> int:
     _check_spotform_args(args)
-    waves = [read_wav(p) for p in args.bf_wavs]
+    waves = [_load(read_wav, p) for p in args.bf_wavs]
     for p, w in zip(args.bf_wavs, waves):
         if len(w) == 0:
             raise SystemExit(f"spotform: {p} has no samples")
@@ -145,8 +146,8 @@ def _cmd_spotform(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    est = read_wav(args.estimate)
-    ref = read_wav(args.reference)
+    est = _load(read_wav, args.estimate)
+    ref = _load(read_wav, args.reference)
     try:
         f_db, s_db = filtered_sdr(est, ref, args.taps), si_sdr(est, ref)
     except ValueError as exc:

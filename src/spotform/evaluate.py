@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spotform.signal import Waveform
+from spotform.signal import Waveform, next_fast_len
 
 SENTINEL_DB = 300.0
 RIDGE_FACTOR = 1e-10
@@ -81,11 +81,9 @@ class PreparedReference:
 def prepare_reference(reference: Waveform, filter_taps: int
                       ) -> PreparedReference:
     """Spectrum and autocorrelation of `reference`, for scoring many estimates."""
-    # lazy: scipy.fft and scipy.linalg take about 0.3 s to import, unused by
-    # `spotform`.  scipy.linalg is imported here although only the solve
-    # uses it: a sweep prepares its references before the pool forks, so
-    # the workers inherit both modules instead of importing them each.
-    import scipy.fft
+    # scipy.linalg is imported here although only the solve uses it: a sweep
+    # prepares its references before the pool forks, so the workers inherit
+    # it instead of importing it each.  Lazy, as `spotform` needs no scipy.
     import scipy.linalg  # noqa: F401
 
     if filter_taps < 1:
@@ -94,10 +92,10 @@ def prepare_reference(reference: Waveform, filter_taps: int
     if not np.any(s):
         raise ValueError("silent reference")
     n = s.shape[0]
-    size = scipy.fft.next_fast_len(n + filter_taps - 1, real=True)
-    spectrum = scipy.fft.rfft(s, size)
+    size = next_fast_len(n + filter_taps - 1)
+    spectrum = np.fft.rfft(s, size)
     # copied, so that it does not keep the whole inverse FFT alive
-    auto = scipy.fft.irfft(np.abs(spectrum) ** 2, size)[:filter_taps].copy()
+    auto = np.fft.irfft(np.abs(spectrum) ** 2, size)[:filter_taps].copy()
     auto[n:] = 0.0  # lags past the signal are zero, not rounding noise
     spectrum.flags.writeable = auto.flags.writeable = False
     return PreparedReference(reference, filter_taps, size, spectrum, auto)
@@ -125,8 +123,6 @@ def filtered_sdr(estimate: Waveform,
     filter's spectrum, and the projection.  An estimate shorter than the
     prepared reference is scored on the common part, prepared anew.
     """
-    import scipy.fft  # lazy: see prepare_reference
-
     if isinstance(reference, PreparedReference):
         if reference.filter_taps != filter_taps:
             raise ValueError(
@@ -142,16 +138,25 @@ def filtered_sdr(estimate: Waveform,
         prepared = prepare_reference(Waveform(s, reference.sample_rate),
                                      filter_taps)
     size, spectrum = prepared.fft_size, prepared.spectrum
-    cross = scipy.fft.irfft(scipy.fft.rfft(e, size) * np.conj(spectrum),
-                            size)[:filter_taps]
+    cross = np.fft.irfft(np.fft.rfft(e, size) * np.conj(spectrum),
+                         size)[:filter_taps]
     cross[n:] = 0.0
 
     g = _solve_normal_equations(prepared.auto, cross)
     if filter_taps > 1:
-        proj = scipy.fft.irfft(spectrum * scipy.fft.rfft(g, size), size)[:n]
+        proj = np.fft.irfft(spectrum * np.fft.rfft(g, size), size)[:n]
     else:
         proj = g[0] * s
     return _ratio_db(float(np.sum(proj**2)), float(np.sum((e - proj) ** 2)))
+
+
+def _toeplitz_product(auto: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The symmetric Toeplitz matrix with first column `auto`, times `g`.
+
+    Row i is sum_j auto[|i - j|] g[j]: the valid part of the convolution of
+    g with auto mirrored about lag 0.
+    """
+    return np.convolve(np.concatenate((auto[:0:-1], auto)), g, mode="valid")
 
 
 def _try_levinson(auto: np.ndarray, cross: np.ndarray) -> np.ndarray | None:
@@ -164,7 +169,7 @@ def _try_levinson(auto: np.ndarray, cross: np.ndarray) -> np.ndarray | None:
         return None
     if not np.all(np.isfinite(g)):
         return None
-    residual = scipy.linalg.matmul_toeplitz(auto, g) - cross
+    residual = _toeplitz_product(auto, g) - cross
     scale = max(float(np.linalg.norm(cross)), EPS_NORM)
     if float(np.linalg.norm(residual)) > 1e-8 * scale:
         return None

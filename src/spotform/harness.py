@@ -297,9 +297,10 @@ def prepare_pipeline(cfg: ExperimentConfig) -> PipelineState:
         for a in range(cfg.scene.n_arrays)
     ]
     tgt = cfg.scene.target_index
+    # copied: a view would keep the whole images tensor alive for the sweep
     prepared = [
-        prepare_reference(Waveform(obs.images[tgt, a, 0], obs.sample_rate),
-                          cfg.filter_taps)
+        prepare_reference(Waveform(obs.images[tgt, a, 0].copy(),
+                                   obs.sample_rate), cfg.filter_taps)
         for a in range(cfg.scene.n_arrays)
     ]
     return PipelineState(rirs, Y, bf_waves, prepared)

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from spotform.signal import Waveform
+from spotform.signal import Waveform, next_fast_len
 
 _KERNEL_HALF = 40  # fractional-delay sinc support: +-40 taps
 
@@ -302,11 +302,10 @@ def render_observations(sources: list[Waveform], rirs: RirSet) -> ObservationTen
     """Convolve each dry source with its RIRs and sum into mic mixtures.
 
     Each image is the full linear convolution done the way
-    `scipy.signal.fftconvolve` does it, so the samples match it bit for bit,
-    with each source transformed once for all its RIRs.
+    `scipy.signal.fftconvolve` does it, at its FFT size and in its operand
+    order, with each source transformed once for all its RIRs.  numpy's FFT
+    (numpy >= 2) rounds as scipy's does, so the samples match it bit for bit.
     """
-    import scipy.fft  # lazy: see evaluate.prepare_reference
-
     scene = rirs.scene
     if len(sources) != scene.n_sources:
         raise ValueError(
@@ -323,12 +322,12 @@ def render_observations(sources: list[Waveform], rirs: RirSet) -> ObservationTen
     images = np.zeros((scene.n_sources, A, M, out_len))
     for s_idx, src in enumerate(sources):
         length = len(src) + rirs.n_taps - 1
-        size = scipy.fft.next_fast_len(length, real=True)
-        spectrum = scipy.fft.rfft(src.samples, size)
-        responses = scipy.fft.rfft(rirs.taps[:, :, s_idx], size, axis=-1)
+        size = next_fast_len(length)
+        spectrum = np.fft.rfft(src.samples, size)
+        responses = np.fft.rfft(rirs.taps[:, :, s_idx], size, axis=-1)
         # source times RIR, fftconvolve's order: numpy's complex product
         # may round its imaginary part differently with the operands swapped
-        images[s_idx, :, :, :length] = scipy.fft.irfft(
+        images[s_idx, :, :, :length] = np.fft.irfft(
             spectrum * responses, size, axis=-1)[..., :length]
     return ObservationTensor(
         mixture=images.sum(axis=0), images=images,

@@ -105,6 +105,24 @@ def _hann_periodic(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
+def next_fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, as `scipy.fft.next_fast_len(n, real=True)`.
+
+    The size every linear FFT convolution and correlation in the package
+    runs at, so that each is the arithmetic scipy's would be.
+    """
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest p35 * 2^a >= n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def frame_count(n_samples: int, cfg: StftConfig) -> int:
     """Number of STFT frames produced for a signal of `n_samples` samples."""
     return int(math.ceil(n_samples / cfg.hop))

@@ -16,7 +16,6 @@ from spotform.beamform import (
     BfOutputTensor,
     NoiseCovarianceSet,
     SteeringSet,
-    _next_fast_len,
     delay_and_sum,
     mvdr,
     mvdr_weights,
@@ -30,7 +29,7 @@ from spotform.roomsim import (
     render_observations,
     simulate_rirs,
 )
-from spotform.signal import StftConfig, Waveform, stft
+from spotform.signal import StftConfig, Waveform, next_fast_len, stft
 
 CFG = StftConfig()
 FS = 16000
@@ -305,12 +304,15 @@ class TestDelayAndSum:
         np.testing.assert_array_equal(out.samples, (x + aligned) / 2)
 
     def test_fft_size_matches_scipy_next_fast_len(self):
-        # the correlation runs at scipy's real-input FFT size, so it is the
-        # arithmetic scipy.signal.correlate does when it picks the FFT
+        # the correlation, the rendering and the scoring run at scipy's
+        # real-input FFT size, so each is the arithmetic scipy's
+        # correlate, fftconvolve and FFT-sized transforms do
         import scipy.fft
 
-        for n in [*range(1, 5000), 2**20 + 1, 3**13 + 1, 5**8 + 1, 10**7 + 1]:
-            assert _next_fast_len(n) == scipy.fft.next_fast_len(n, real=True), n
+        # 40000..82000 holds the sizes a rendered or scored clip asks for
+        for n in [*range(1, 5000), *range(40000, 82000, 13), 2**20 + 1,
+                  3**13 + 1, 5**8 + 1, 10**7 + 1]:
+            assert next_fast_len(n) == scipy.fft.next_fast_len(n, real=True), n
 
     def test_single_input_identity(self):
         x = np.arange(50, dtype=float)

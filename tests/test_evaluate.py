@@ -16,6 +16,7 @@ from spotform.evaluate import (
     SENTINEL_DB,
     AggregateStats,
     _solve_normal_equations,
+    _toeplitz_product,
     aggregate,
     filtered_sdr,
     prepare_reference,
@@ -228,6 +229,72 @@ class TestFilteredSdr:
             got = filtered_sdr(w(e), prepared, 32)
         assert got == pytest.approx(want, abs=1e-6)
         assert not prepared.auto.flags.writeable
+
+
+def scipy_fft_prepare(s, taps):
+    """prepare_reference's (size, spectrum, auto), by `scipy.fft`."""
+    import scipy.fft
+
+    size = scipy.fft.next_fast_len(len(s) + taps - 1, real=True)
+    spectrum = scipy.fft.rfft(s, size)
+    auto = scipy.fft.irfft(np.abs(spectrum) ** 2, size)[:taps]
+    auto[len(s):] = 0.0
+    return size, spectrum, auto
+
+
+def scipy_fft_filtered_sdr(e, s, taps):
+    """filtered_sdr of equal-length e and s, by `scipy.fft` and Levinson."""
+    import scipy.fft
+
+    size, spectrum, auto = scipy_fft_prepare(s, taps)
+    cross = scipy.fft.irfft(scipy.fft.rfft(e, size) * np.conj(spectrum),
+                            size)[:taps]
+    cross[len(s):] = 0.0
+    g = scipy.linalg.solve_toeplitz(auto, cross)
+    if taps > 1:
+        proj = scipy.fft.irfft(spectrum * scipy.fft.rfft(g, size),
+                               size)[:len(s)]
+    else:
+        proj = g[0] * s
+    sdr = 10.0 * np.log10(float(np.sum(proj**2))
+                          / float(np.sum((e - proj) ** 2)))
+    return float(np.clip(sdr, -SENTINEL_DB, SENTINEL_DB))
+
+
+class TestNumpyFftMatchesScipyFft:
+    """The scoring runs on `numpy.fft`; it must give `scipy.fft`'s numbers
+    bit for bit, odd and even lengths, with fewer and more taps than
+    samples."""
+
+    CASES = [(n, taps) for n in (7, 8, 999, 1000, 4001, 40000)
+             for taps in (1, 16, 512)]
+
+    @pytest.mark.parametrize("n, taps", CASES)
+    def test_prepared_spectrum_and_autocorrelation(self, n, taps):
+        s = np.random.default_rng(n + taps).standard_normal(n)
+        size, spectrum, auto = scipy_fft_prepare(s, taps)
+        prepared = prepare_reference(w(s), taps)
+        assert prepared.fft_size == size
+        np.testing.assert_array_equal(prepared.spectrum, spectrum)
+        np.testing.assert_array_equal(prepared.auto, auto)
+
+    @pytest.mark.parametrize("n, taps", CASES)
+    def test_filtered_sdr(self, n, taps):
+        rng = np.random.default_rng(n + taps)
+        s = rng.standard_normal(n)
+        e = 0.7 * np.roll(s, 3) + 0.4 * rng.standard_normal(n)
+        want = scipy_fft_filtered_sdr(e, s, taps)
+        assert filtered_sdr(w(e), w(s), taps) == want
+        assert filtered_sdr(w(e), prepare_reference(w(s), taps), taps) == want
+
+    @pytest.mark.parametrize("taps", [1, 2, 3, 16, 512, 2048])
+    def test_toeplitz_product_matches_scipy(self, taps):
+        # the Levinson residual check's product, once scipy's
+        rng = np.random.default_rng(taps)
+        auto, g = rng.standard_normal(taps), rng.standard_normal(taps)
+        assert_allclose(_toeplitz_product(auto, g),
+                        scipy.linalg.matmul_toeplitz(auto, g),
+                        rtol=1e-12, atol=1e-12 * np.abs(auto).sum())
 
 
 @pytest.mark.parametrize("metric", [si_sdr, filtered_sdr])

@@ -30,12 +30,13 @@ from spotform.harness import (
     _run_task,
     derive_seed,
     enumerate_tasks,
+    load_sources,
     prepare_pipeline,
     run_experiment,
     run_single,
     separate,
 )
-from spotform.roomsim import default_scene
+from spotform.roomsim import default_scene, render_observations, simulate_rirs
 from spotform.signal import StftConfig, Waveform, read_wav, stft, write_wav
 from spotform.synth import default_voices, write_demo_sources
 
@@ -440,6 +441,21 @@ class TestRunExperiment:
         assert len(rows) == 10 and all(r.status == "ok" for r in rows)
         assert calls == [cfg.filter_taps] * cfg.scene.n_arrays
 
+    def test_prepared_references_own_their_samples(self, small_cfg, state):
+        # a view into the rendered images would keep the whole
+        # (source, array, mic, sample) tensor alive as long as the sweep,
+        # in every forked worker too; the copy scores as the view did
+        obs = render_observations(load_sources(small_cfg),
+                                  simulate_rirs(small_cfg.scene))
+        tgt, taps = small_cfg.scene.target_index, small_cfg.filter_taps
+        for a, prepared in enumerate(state.prepared):
+            samples = prepared.waveform.samples
+            assert samples.flags.owndata and samples.base is None
+            view = Waveform(obs.images[tgt, a, 0], obs.sample_rate)
+            np.testing.assert_array_equal(samples, view.samples)
+            assert (filtered_sdr(state.bf_waves[a], prepared, taps)
+                    == filtered_sdr(state.bf_waves[a], view, taps))
+
     @pytest.mark.parametrize("method", ["bf-only", "nmf", "ntf"])
     def test_run_single_reproduces_every_row(self, method, small_cfg, tau_cfg,
                                              tau_sweep, ntf_cfg, state,
@@ -676,6 +692,27 @@ class TestCli:
         assert str(exc.value.code) == f"spotform: {empty} has no samples"
         assert not (tmp_path / "spot").exists()
 
+    @pytest.mark.parametrize("command", ["spotform", "eval", "eval-reference"])
+    @pytest.mark.parametrize("case, message", [
+        ("missing", "No such file or directory"),
+        ("malformed", "no data chunk"),
+    ])
+    def test_unreadable_wav_ends_with_message(self, sources, tmp_path,
+                                              command, case, message):
+        bad = tmp_path / f"{case}.wav"
+        if case == "malformed":
+            bad.write_bytes(b"RIFF\x04\x00\x00\x00WAVE")
+        argv = {"spotform": ["spotform", sources[0], str(bad), "--method",
+                             "nmf", "--hyper", "0.01", "--iterations", "4",
+                             "--out", str(tmp_path / "spot")],
+                "eval": ["eval", str(bad), sources[0]],
+                "eval-reference": ["eval", sources[0], str(bad)]}[command]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        msg = str(exc.value.code)
+        assert msg.startswith(f"spotform: {bad}: ") and message in msg
+        assert not (tmp_path / "spot").exists()
+
     @pytest.mark.parametrize("method, argv, message", [
         ("nmf", ["--k", "0"], "--k must be >= 1, got 0"),
         ("ntf", ["--hyper", "-1"],
@@ -811,23 +848,32 @@ class TestCli:
         assert (tmp_path / "spot" / "estimate_fused.wav").exists()
 
     def test_simulate_and_sweep_do_not_import_scipy_signal(self, small_cfg,
-                                                           tmp_path):
+                                                           sources, tmp_path):
         # scipy.signal costs about a second and 40 MB, and only resampling a
-        # source recorded at another rate needs it: writing the demo
-        # sources, an inline sweep and `spotform simulate` must not load it
+        # source recorded at another rate needs it; every FFT runs on
+        # numpy.fft, so nothing loads scipy.fft either.  Writing the demo
+        # sources and `spotform simulate` load no scipy at all, an inline
+        # sweep and `spotform eval` neither scipy.signal nor scipy.fft
         cfg = replace(small_cfg, workers=1, out_dir=str(tmp_path / "run"))
         script = (
             "import sys\n"
             "from spotform.cli import main\n"
             "from spotform.harness import ExperimentConfig, run_experiment\n"
             "from spotform.synth import write_demo_sources\n"
+            "def scipy_loaded():\n"
+            "    return [m for m in sys.modules\n"
+            "            if m == 'scipy' or m.startswith('scipy.')]\n"
             f"write_demo_sources({str(tmp_path / 'src')!r}, 3, 0.5, 16000)\n"
-            "assert 'scipy.signal' not in sys.modules\n"
-            f"run_experiment(ExperimentConfig.from_dict({cfg.to_dict()!r}))\n"
-            "assert 'scipy.signal' not in sys.modules\n"
+            "assert not scipy_loaded(), scipy_loaded()\n"
             "assert main(['simulate', '--duration', '0.5', '--out', "
             f"{str(tmp_path / 'sim')!r}]) == 0\n"
+            "assert not scipy_loaded(), scipy_loaded()\n"
+            f"run_experiment(ExperimentConfig.from_dict({cfg.to_dict()!r}))\n"
             "assert 'scipy.signal' not in sys.modules\n"
+            "assert 'scipy.fft' not in sys.modules\n"
+            f"assert main(['eval', {sources[0]!r}, {sources[1]!r}]) == 0\n"
+            "assert 'scipy.signal' not in sys.modules\n"
+            "assert 'scipy.fft' not in sys.modules\n"
         )
         src = str(Path(spotform.__file__).parents[1])
         subprocess.run([sys.executable, "-c", script], check=True,
@@ -838,20 +884,22 @@ class TestCli:
 
     def test_prepared_pipeline_has_scipy_scoring_loaded(self, small_cfg):
         # the sweep prepares in its parent before the pool forks, so workers
-        # inherit the scoring's scipy modules instead of each importing them
+        # inherit scipy.linalg, which solves the scoring's normal equations,
+        # instead of each importing it; the FFTs are numpy's, so scipy.fft
+        # stays out
         script = (
             "import sys\n"
             "import numpy as np\n"
             "from spotform.evaluate import prepare_reference\n"
             "from spotform.harness import ExperimentConfig, prepare_pipeline\n"
             "from spotform.signal import Waveform\n"
-            "needed = ('scipy.fft', 'scipy.linalg')\n"
-            "assert not any(m in sys.modules for m in needed)\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
             "prepare_reference(Waveform(np.ones(8), 16000), 4)\n"
-            "assert all(m in sys.modules for m in needed)\n"
+            "assert 'scipy.linalg' in sys.modules\n"
             f"cfg = ExperimentConfig.from_dict({small_cfg.to_dict()!r})\n"
             "prepare_pipeline(cfg)\n"
-            "assert all(m in sys.modules for m in needed)\n"
+            "assert 'scipy.linalg' in sys.modules\n"
+            "assert 'scipy.fft' not in sys.modules\n"
         )
         src = str(Path(spotform.__file__).parents[1])
         subprocess.run([sys.executable, "-c", script], check=True,
