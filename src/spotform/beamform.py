@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from spotform.roomsim import ObservationTensor, RirSet, Scene
-from spotform.signal import StftConfig, Waveform, frame_count, next_fast_len, stft
+from spotform.signal import StftConfig, Waveform, next_fast_len, stft
 
 DIAGONAL_LOADING = 1e-3
 _COND_LIMIT = 1e12
@@ -41,16 +41,19 @@ class NoiseCovarianceSet:
 
 @dataclass
 class BfOutputTensor:
-    """Beamformer outputs stacked over arrays: (n_bins, n_frames, n_arrays)."""
+    """Beamformer outputs, C-contiguous complex (n_arrays, n_bins, n_frames)."""
 
     values: np.ndarray
     config: StftConfig
     sample_rate: int
     n_samples: int
 
+    def __post_init__(self):
+        self.values = np.ascontiguousarray(self.values, dtype=np.complex128)
+
     @property
     def n_arrays(self) -> int:
-        return self.values.shape[2]
+        return self.values.shape[0]
 
 
 def oracle_quantities(
@@ -97,15 +100,13 @@ def mvdr(X: ObservationTensor, d: SteeringSet,
     """Beamform every array's mixture mics down to one spectrogram per array."""
     w = mvdr_weights(d, R)
     A, M, L = X.mixture.shape
-    if w.shape[0] != A or w.shape[2] != M:
-        raise ValueError("weights do not match the observation dims")
     cfg = d.config
-    J = frame_count(L, cfg)
-    Y = np.zeros((cfg.n_bins, J, A), dtype=np.complex128)
-    for a in range(A):
-        for m in range(M):
-            S_am = stft(Waveform(X.mixture[a, m], X.sample_rate), cfg).values
-            Y[:, :, a] += w[a, :, m].conj()[:, None] * S_am
+    if w.shape[0] != A or w.shape[2] != M or X.sample_rate != cfg.sample_rate:
+        raise ValueError("weights or STFT rate do not match the observations")
+    S = stft(X.mixture, cfg).values  # (A, M, I, J)
+    Y = np.zeros((A, cfg.n_bins, S.shape[-1]), dtype=np.complex128)
+    for m in range(M):  # in mic order: a reordered sum rounds differently
+        Y += w[:, :, m].conj()[:, :, None] * S[:, m]
     return BfOutputTensor(Y, cfg, X.sample_rate, L)
 
 

@@ -132,8 +132,8 @@ def _cmd_spotform(args) -> int:
     except ValueError as exc:
         raise SystemExit(f"spotform: {rate} Hz WAVs are not supported ({exc}); "
                          "resample them, e.g. to 16000 Hz") from exc
-    specs = [stft(Waveform(w.samples[:n], rate), cfg) for w in waves]
-    Y = BfOutputTensor(np.stack([s.values for s in specs], axis=2), cfg, rate, n)
+    Y = BfOutputTensor(stft(np.stack([w.samples[:n] for w in waves]), cfg).values,
+                       cfg, rate, n)
     estimates, fused = separate(Y, args.method, args.k, args.hyper, args.seed,
                                 args.iterations, args.warmup)
     out = Path(args.out)
@@ -142,6 +142,11 @@ def _cmd_spotform(args) -> int:
         write_wav(out / f"estimate_array{a}.wav", w)
     write_wav(out / "estimate_fused.wav", fused)
     print(f"wrote {len(estimates) + 1} WAVs to {out}")
+    if not np.any(fused.samples):
+        silent = [p for p, Y_a in zip(args.bf_wavs, Y.values) if not np.any(Y_a)]
+        why = (f"silent input: {', '.join(silent)}" if silent
+               else "no basis was kept for the target class")
+        raise SystemExit(f"spotform: the fused estimate is all zero; {why}")
     return 0
 
 
@@ -151,7 +156,7 @@ def _cmd_eval(args) -> int:
     try:
         f_db, s_db = filtered_sdr(est, ref, args.taps), si_sdr(est, ref)
     except ValueError as exc:
-        raise SystemExit(f"eval: {exc}") from exc
+        raise SystemExit(f"spotform: {exc}") from exc
     print(f"filtered_sdr_db={f_db:.4f}")
     print(f"si_sdr_db={s_db:.4f}")
     return 0

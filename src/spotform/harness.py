@@ -32,7 +32,7 @@ import signal
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -289,13 +289,6 @@ def prepare_pipeline(cfg: ExperimentConfig) -> PipelineState:
     sources = load_sources(cfg)
     rirs = simulate_rirs(cfg.scene)
     obs = render_observations(sources, rirs)
-    d, R = oracle_quantities(rirs, cfg.scene, cfg.stft)
-    Y = mvdr(obs, d, R)
-    bf_waves = [
-        istft(ComplexSpectrogram(Y.values[:, :, a], cfg.stft), cfg.stft,
-              obs.n_samples)
-        for a in range(cfg.scene.n_arrays)
-    ]
     tgt = cfg.scene.target_index
     # copied: a view would keep the whole images tensor alive for the sweep
     prepared = [
@@ -303,6 +296,11 @@ def prepare_pipeline(cfg: ExperimentConfig) -> PipelineState:
                                    obs.sample_rate), cfg.filter_taps)
         for a in range(cfg.scene.n_arrays)
     ]
+    obs = replace(obs, images=None)  # room for every mic's STFT frames
+    d, R = oracle_quantities(rirs, cfg.scene, cfg.stft)
+    Y = mvdr(obs, d, R)
+    bf_waves = [Waveform(y, cfg.stft.sample_rate) for y in istft(
+        ComplexSpectrogram(Y.values, cfg.stft), cfg.stft, obs.n_samples)]
     return PipelineState(rirs, Y, bf_waves, prepared)
 
 
@@ -338,11 +336,12 @@ def _extract(Y: BfOutputTensor, method: str, fit, hyper: float
     """The per-hyper stage of `separate` on a `_fit` result: mask (threshold
     tau for nmf), Wiener gain, iSTFT and delay-and-sum.  The fit is only read."""
     if method == "nmf":
-        mask = threshold_mask(fit, Y.n_arrays, Y.values.shape[1], hyper)
-        specs = nmf_wiener(fit, mask, Y)
+        mask = threshold_mask(fit, Y.n_arrays, Y.values.shape[2], hyper)
+        spec = nmf_wiener(fit, mask, Y)
     else:
-        specs = ntf_wiener(*fit, Y)
-    waves = [istft(s, Y.config, Y.n_samples) for s in specs]
+        spec = ntf_wiener(*fit, Y)
+    waves = [Waveform(y, Y.config.sample_rate)
+             for y in istft(spec, Y.config, Y.n_samples)]
     return waves, delay_and_sum(waves)
 
 

@@ -1,7 +1,7 @@
 """Baseline common-component extraction: NMF on concatenated spectrograms.
 
-The beamformer magnitude spectrograms of all arrays are concatenated along
-time into one I x (A*J) matrix and factorized with GKL multiplicative
+The beamformer magnitudes, (A, I, J) like the outputs, are concatenated
+along time into one I x (A*J) matrix and factorized with GKL multiplicative
 updates.  A basis is kept for the target when its activation exceeds a
 threshold tau in EVERY array block; a Wiener filter built from the kept
 bases reconstructs the target per array.
@@ -68,9 +68,9 @@ class FrameMask:
 
 
 def build_concat(Y: BfOutputTensor) -> ConcatMatrix:
-    """|Y| with array blocks laid side by side: column a*J + j."""
-    I, J, A = Y.values.shape
-    C = np.transpose(np.abs(Y.values), (0, 2, 1)).reshape(I, A * J)
+    """|Y| with array blocks laid side by side, column a*J + j (a copy)."""
+    A, I, J = Y.values.shape
+    C = np.abs(Y.values).transpose(1, 0, 2).reshape(I, A * J)
     return ConcatMatrix(C, n_arrays=A, n_frames=J)
 
 
@@ -88,8 +88,6 @@ def update_step(model: NmfModel, C: ConcatMatrix) -> NmfModel:
 def fit_nmf(C: ConcatMatrix, K: int, iterations: int = 100,
             seed: int = 0) -> NmfModel:
     """Factorize the concat matrix with `iterations` update steps."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     model = factorize(C.values[None], K, [0.0] * iterations, seed)
@@ -101,14 +99,12 @@ def threshold_mask(model: NmfModel, n_arrays: int, n_frames: int,
     """Keep (frame, basis) cells whose activation exceeds tau in every array."""
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    K = model.K
-    blocks = model.V.reshape(n_arrays, n_frames, K)
+    blocks = model.V.reshape(n_arrays, n_frames, model.K)
     return FrameMask(np.all(blocks > tau, axis=0).astype(np.int8))
 
 
 def nmf_wiener(model: NmfModel, mask: FrameMask,
-               Y: BfOutputTensor) -> list[ComplexSpectrogram]:
-    """Per-array Wiener reconstruction from the masked model."""
-    I, J, A = Y.values.shape
-    U = model.V.reshape(A, J, model.K)  # array a's block of V
+               Y: BfOutputTensor) -> ComplexSpectrogram:
+    """Wiener reconstruction from the masked model, (A, I, J)."""
+    U = model.V.reshape(Y.n_arrays, -1, model.K)  # array a's block of V
     return masked_wiener(model.T, U, mask.values, Y)

@@ -10,14 +10,14 @@ nearest attractor is the uniform one are kept as the target.
 All updates are multiplicative majorization-minimization steps, so for fixed
 regularization weight the cost never increases.
 
-The kernel works on the (A*I, J) unfolding of the data, row a*I + i.  With
-the Khatri-Rao product W = Z (.) T, shape (A*I, K), row a*I + i holding
-Z[a] * T[i], the model is the single GEMM W @ V^T.  Each factor update forms
-the model once and divides the data by it, then contracts that ratio R
-against the other two factors: R @ V reshaped to (A, I, K) and reduced
-against T (for Z) or Z (for T), and R^T @ W (for V).  A step is six GEMMs of
-A*I*J*K multiply-adds each, plus elementwise passes over the A*I*J data; a
-fit forms every model and ratio in one (A*I, J) buffer.
+The kernel works on |Y| in Y's (A, I, J) layout, viewed as the (A*I, J)
+unfolding, row a*I + i.  With the Khatri-Rao product W = Z (.) T, shape
+(A*I, K), row a*I + i holding Z[a] * T[i], the model is the GEMM W @ V^T.
+Each factor update forms the model once, divides the data by it, then
+contracts that ratio R against the other two factors: R @ V reshaped to
+(A, I, K) and reduced against T (for Z) or Z (for T), and R^T @ W (for V).
+A step is six GEMMs of A*I*J*K multiply-adds each, plus elementwise passes
+over the A*I*J data; a fit forms every model and ratio in one buffer.
 The NMF baseline is this kernel at A = 1 with mu = 0 (see `spotform.nmf`).
 """
 
@@ -112,8 +112,8 @@ class RegularizationSchedule:
 
 
 def build_prop_tensor(Y: BfOutputTensor) -> PropTensor:
-    """|Y| with axes reordered to (array, bin, frame)."""
-    return PropTensor(np.abs(np.transpose(Y.values, (2, 0, 1))))
+    """|Y|, in Y's (array, bin, frame) layout."""
+    return PropTensor(np.abs(Y.values))
 
 
 def build_attractors(n_arrays: int) -> AttractorSet:
@@ -264,34 +264,32 @@ def fit_ntf(
 
 def masked_wiener(
     T: np.ndarray, U: np.ndarray, keep: np.ndarray, Y: BfOutputTensor
-) -> list[ComplexSpectrogram]:
-    """Per-array Wiener reconstruction from the kept share of each basis.
+) -> ComplexSpectrogram:
+    """Wiener reconstruction from the kept share of each basis, (A, I, J).
 
     U (A, J, K) holds each array's activations: Z[a] * V for the tensor
     model, array a's block of V for the concatenated one.  `keep`, broadcast
     to (A, J, K), weighs every (array, frame, basis).  Array a's gain is
     T^2 @ ((keep * U)[a]^2)^T over T^2 @ (U[a]^2)^T, one GEMM pair for all
-    arrays at once.
+    arrays at once, whose (I, A, J) result is read in Y's layout as a view.
     """
-    I, J, A = Y.values.shape
+    A, I, J = Y.values.shape
     K = T.shape[1]
     keep = np.broadcast_to(np.asarray(keep, dtype=np.float64), U.shape)
     if np.all(keep == 1.0):
-        return [ComplexSpectrogram(Y.values[:, :, a].copy(), Y.config)
-                for a in range(A)]
+        return ComplexSpectrogram(Y.values.copy(), Y.config)
     if not np.any(keep):
         warnings.warn("no basis kept for the target class; output is zero")
     T2 = T**2
     num = T2 @ ((keep * U) ** 2).reshape(A * J, K).T  # (I, A*J)
     den = T2 @ (U**2).reshape(A * J, K).T
     gain = (num / np.maximum(den, EPS)).reshape(I, A, J)
-    return [ComplexSpectrogram(gain[:, a] * Y.values[:, :, a], Y.config)
-            for a in range(A)]
+    return ComplexSpectrogram(Y.values * gain.transpose(1, 0, 2), Y.config)
 
 
 def ntf_wiener(
     model: NtfModel, assignment: Assignment, Y: BfOutputTensor
-) -> list[ComplexSpectrogram]:
-    """Per-array Wiener reconstruction keeping the target-class bases."""
+) -> ComplexSpectrogram:
+    """Wiener reconstruction keeping the target-class bases, (A, I, J)."""
     U = model.Z[:, None, :] * model.V[None, :, :]  # (A, J, K)
     return masked_wiener(model.T, U, assignment.h, Y)

@@ -1,9 +1,9 @@
 """Waveforms, STFT analysis/synthesis, energy normalization, and WAV I/O.
 
-All audio is mono float64 internally.  The STFT uses a periodic Hann window
-with 50% overlap (constant-overlap-add), one-sided spectra, and a fixed
-padding convention: `window_length - hop` zeros are prepended so that frame 0
-is centered near sample 0, giving exactly ``ceil(n_samples / hop)`` frames.
+Waveforms are mono float64; the STFT and iSTFT also take batches along
+leading axes.  Both use a periodic Hann window at 50% overlap, which is
+constant-overlap-add, one-sided spectra, and `window_length - hop` zeros
+prepended so that frame 0 is centered near sample 0: ``ceil(n / hop)`` frames.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 EPS = 1e-12
 
@@ -81,23 +82,20 @@ class Waveform:
 
 @dataclass
 class ComplexSpectrogram:
-    """One-sided STFT of one signal: complex (n_bins, n_frames) matrix."""
+    """One-sided STFT: complex (..., n_bins, n_frames), a signal per index."""
 
     values: np.ndarray
     config: StftConfig
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.ndim != 2:
-            raise ValueError("spectrogram values must be a 2-D matrix")
-        if self.values.shape[0] != self.config.n_bins:
-            raise ValueError(
-                f"expected {self.config.n_bins} bins, got {self.values.shape[0]}"
-            )
+        if self.values.shape[-2:-1] != (self.config.n_bins,):
+            raise ValueError(f"expected (..., {self.config.n_bins} bins, "
+                             f"frames), got {self.values.shape}")
 
     @property
     def n_frames(self) -> int:
-        return self.values.shape[1]
+        return self.values.shape[-1]
 
 
 def _hann_periodic(n: int) -> np.ndarray:
@@ -128,55 +126,57 @@ def frame_count(n_samples: int, cfg: StftConfig) -> int:
     return int(math.ceil(n_samples / cfg.hop))
 
 
-def stft(x: Waveform, cfg: StftConfig) -> ComplexSpectrogram:
-    """One-sided STFT with head zero-padding of (window - hop) samples.
-
-    Every input sample is covered by at least one frame; the frame count is
-    ``ceil(len(x) / hop)``.
-    """
-    if len(x) == 0:
+def stft(x: Waveform | np.ndarray, cfg: StftConfig) -> ComplexSpectrogram:
+    """One-sided STFT of a Waveform, or of samples (..., n) at the config's
+    rate: C-contiguous values (..., n_bins, n_frames) from one transform."""
+    if isinstance(x, Waveform):
+        if x.sample_rate != cfg.sample_rate:
+            raise ValueError(f"waveform rate {x.sample_rate} != config rate "
+                             f"{cfg.sample_rate}")
+        x = x.samples
+    n = x.shape[-1]
+    if n == 0:
         raise ValueError("empty signal")
-    if x.sample_rate != cfg.sample_rate:
-        raise ValueError(
-            f"waveform rate {x.sample_rate} != config rate {cfg.sample_rate}"
-        )
     win_len, hop = cfg.window_length, cfg.hop
-    n_frames = frame_count(len(x), cfg)
+    n_frames = frame_count(n, cfg)
     pad_head = win_len - hop
-    total = (n_frames - 1) * hop + win_len
-    padded = np.zeros(total, dtype=np.float64)
-    padded[pad_head : pad_head + len(x)] = x.samples
-    idx = np.arange(win_len)[None, :] + hop * np.arange(n_frames)[:, None]
-    frames = padded[idx] * _hann_periodic(win_len)[None, :]
-    return ComplexSpectrogram(np.fft.rfft(frames, axis=1).T, cfg)
+    padded = np.zeros((*x.shape[:-1], (n_frames - 1) * hop + win_len))
+    padded[..., pad_head : pad_head + n] = x
+    frames = (sliding_window_view(padded, win_len, axis=-1)[..., ::hop, :]
+              * _hann_periodic(win_len))
+    del padded  # freed before the spectra: a batch's buffers are large
+    values = np.empty((*x.shape[:-1], cfg.n_bins, n_frames), dtype=np.complex128)
+    np.fft.rfft(frames, axis=-1, out=np.swapaxes(values, -1, -2))
+    return ComplexSpectrogram(values, cfg)
 
 
-def istft(S: ComplexSpectrogram, cfg: StftConfig, length: int) -> Waveform:
-    """Weighted overlap-add synthesis, truncated or zero-padded to `length`."""
+def istft(S: ComplexSpectrogram, cfg: StftConfig,
+          length: int) -> Waveform | np.ndarray:
+    """Weighted overlap-add synthesis, truncated or zero-padded to `length`:
+    a Waveform for one spectrogram, samples (..., length) for a batch."""
     if S.config != cfg:
         raise ValueError("spectrogram was produced with a different STFT config")
     if length < 0:
         raise ValueError("length must be nonnegative")
     win_len, hop = cfg.window_length, cfg.hop
-    window = _hann_periodic(win_len)
-    frames = np.fft.irfft(S.values.T, n=win_len, axis=1) * window[None, :]
-    n_frames, offsets = S.n_frames, win_len // hop
+    lead, n_frames, offsets = S.values.shape[:-2], S.n_frames, win_len // hop
     # hop divides the window, so frame j's chunk r lands on hop block j + r;
-    # adding offsets last-to-first gives each block its frames in the order
-    # of a frame-by-frame overlap-add, bit for bit
-    chunks = frames.reshape(n_frames, offsets, hop)
-    wsq = (window**2).reshape(offsets, hop)
-    out = np.zeros((n_frames + offsets - 1, hop), dtype=np.float64)
-    norm = np.zeros_like(out)
+    # adding offsets last-to-first gives each block its windowed frames in
+    # the order of a frame-by-frame overlap-add, bit for bit
+    chunks = np.fft.irfft(np.swapaxes(S.values, -1, -2), n=win_len,
+                          axis=-1).reshape(*lead, n_frames, offsets, hop)
+    window = _hann_periodic(win_len).reshape(offsets, hop)
+    out = np.zeros((*lead, n_frames + offsets - 1, hop))
+    norm = np.zeros(out.shape[-2:])  # one for every signal
     for r in reversed(range(offsets)):
-        out[r : r + n_frames] += chunks[:, r]
-        norm[r : r + n_frames] += wsq[r]
-    out = out.reshape(-1) / np.maximum(norm.reshape(-1), EPS)
+        out[..., r : r + n_frames, :] += chunks[..., r, :] * window[r]
+        norm[r : r + n_frames] += window[r] ** 2
+    out /= np.maximum(norm, EPS)
     pad_head = win_len - hop
-    y = out[pad_head : pad_head + length]
-    if len(y) < length:
-        y = np.pad(y, (0, length - len(y)))
-    return Waveform(y, cfg.sample_rate)
+    y = out.reshape(*lead, -1)[..., pad_head : pad_head + length]
+    if y.shape[-1] < length:
+        y = np.pad(y, [(0, 0)] * len(lead) + [(0, length - y.shape[-1])])
+    return y if lead else Waveform(y, cfg.sample_rate)
 
 
 def normalize_energy(sources: list[Waveform]) -> list[Waveform]:

@@ -236,14 +236,14 @@ class TestMvdrOnRenderedAudio:
         sc, obs, d, R = scene_run
         Y = beamform_image(obs, d, R, sc.target_index)
         ref = stft(Waveform(obs.images[sc.target_index, 0, 0], FS), CFG).values
-        rel = np.linalg.norm(Y.values[:, :, 0] - ref) / np.linalg.norm(ref)
+        rel = np.linalg.norm(Y.values[0] - ref) / np.linalg.norm(ref)
         assert rel < 0.01
 
     def test_rendered_interferer_suppressed(self, scene_run):
         sc, obs, d, R = scene_run
         Y = beamform_image(obs, d, R, 1)
         e_in = np.sum(np.abs(stft(Waveform(obs.images[1, 0, 0], FS), CFG).values) ** 2)
-        e_out = np.sum(np.abs(Y.values[:, :, 0]) ** 2)
+        e_out = np.sum(np.abs(Y.values[0]) ** 2)
         assert 10 * np.log10(e_in / e_out) >= 15.0
 
     def test_output_sinr_not_worse_than_reference_mic(self, scene_run):
@@ -261,7 +261,8 @@ class TestMvdrOnRenderedAudio:
         Y = mvdr(obs, d, R)
         assert isinstance(Y, BfOutputTensor)
         J = math.ceil(obs.n_samples / CFG.hop)
-        assert Y.values.shape == (CFG.n_bins, J, 1)
+        assert Y.values.shape == (1, CFG.n_bins, J)
+        assert Y.values.flags.c_contiguous
         assert Y.n_samples == obs.n_samples
 
 

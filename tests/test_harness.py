@@ -318,10 +318,10 @@ class TestSeparate:
         cfg = StftConfig()
         specs = [stft(Waveform(voices[0].samples + 2.0 * v.samples, 16000),
                       cfg).values for v in voices[1:]]
-        Y = BfOutputTensor(np.stack(specs, axis=2), cfg, 16000,
+        Y = BfOutputTensor(np.stack(specs), cfg, 16000,
                            len(voices[0]))
         perm = [1, 0] if n_arrays == 2 else [2, 0, 1]
-        Yp = replace(Y, values=Y.values[:, :, perm])
+        Yp = replace(Y, values=Y.values[perm])
         _, assignment = _fit(Y, "ntf", k, 100.0, 3, 40, 20)
         assert 0 < assignment.h.sum() < k
         waves, _ = separate(Y, "ntf", k, 100.0, 3, 40, 20)
@@ -609,7 +609,8 @@ class TestCli:
         write_wav(other, Waveform(read_wav(sources[0]).samples, 8000))
         with pytest.raises(SystemExit) as exc:
             main(["eval", str(other), sources[0]])
-        assert "rate" in str(exc.value.code)
+        msg = str(exc.value.code)
+        assert msg.startswith("spotform: ") and "rate" in msg
 
     def test_simulate_writes_rirs_and_observations(self, tmp_path, capsys):
         code = main(["simulate", "--arrays", "1", "--duration", "0.4",
@@ -648,13 +649,47 @@ class TestCli:
         cfg = StftConfig(sample_rate=waves[0].sample_rate)
         specs = [stft(Waveform(w.samples[:n], w.sample_rate), cfg).values
                  for w in waves]
-        Y = BfOutputTensor(np.stack(specs, axis=2), cfg, cfg.sample_rate, n)
+        Y = BfOutputTensor(np.stack(specs), cfg, cfg.sample_rate, n)
         want, want_fused = separate(Y, method, k, hyper, 7, iterations, warmup)
         got = [read_wav(tmp_path / "spot" / name) for name in names]
         for g, w in zip(got, [*want, want_fused], strict=True):
             # the CLI writes float32 WAVs
             np.testing.assert_array_equal(g.samples,
                                           w.samples.astype(np.float32))
+
+    def test_spotform_fails_on_a_silent_input_after_writing(self, sources,
+                                                             tmp_path):
+        silent = tmp_path / "silent.wav"
+        write_wav(silent, Waveform(np.zeros(len(read_wav(sources[1]))), 16000))
+        with pytest.warns(UserWarning) as caught, \
+                pytest.raises(SystemExit) as exc:
+            main(["spotform", sources[0], str(silent), "--method", "ntf",
+                  "--k", "6", "--hyper", "100", "--iterations", "20",
+                  "--warmup", "10", "--out", str(tmp_path / "spot")])
+        assert str(exc.value.code) == (
+            f"spotform: the fused estimate is all zero; silent input: {silent}")
+        assert {str(w.message) for w in caught} == {
+            "no basis kept for the target class; output is zero",
+            "all-zero estimate contributes nothing to the fusion"}
+        names = sorted(p.name for p in (tmp_path / "spot").iterdir())
+        assert names == ["estimate_array0.wav", "estimate_array1.wav",
+                         "estimate_fused.wav"]
+
+    def test_spotform_fails_when_no_basis_is_kept(self, sources, tmp_path):
+        # no activation exceeds this tau, so the mask keeps nothing
+        with pytest.warns(UserWarning) as caught, \
+                pytest.raises(SystemExit) as exc:
+            main(["spotform", sources[0], sources[1], "--method", "nmf",
+                  "--k", "3", "--hyper", "1e9", "--iterations", "8",
+                  "--out", str(tmp_path / "spot")])
+        assert str(exc.value.code) == ("spotform: the fused estimate is all "
+                                       "zero; no basis was kept for the "
+                                       "target class")
+        assert {str(w.message) for w in caught} == {
+            "no basis kept for the target class; output is zero",
+            "all-zero estimate contributes nothing to the fusion"}
+        assert not np.any(read_wav(tmp_path / "spot" / "estimate_fused.wav")
+                          .samples)
 
     def test_spotform_rejects_cd_rate_with_message(self, sources, tmp_path):
         # a 32 ms window is not a whole number of samples at 44100 Hz

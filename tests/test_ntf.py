@@ -45,6 +45,8 @@ from spotform.signal import StftConfig
 
 def random_bf_output(rng, I=6, J=5, A=2):
     vals = rng.standard_normal((I, J, A)) + 1j * rng.standard_normal((I, J, A))
+    # drawn (I, J, A), so each seeded test keeps the numbers it was written for
+    vals = vals.transpose(2, 0, 1)
     cfg = StftConfig(window_length_ms=(I - 1) * 2 / 16, hop_ms=(I - 1) / 16)
     return BfOutputTensor(vals, cfg, 16000, J * cfg.hop)
 
@@ -166,7 +168,13 @@ class TestBuildPropTensor:
         for a in range(2):
             for i in range(6):
                 for j in range(5):
-                    assert C.values[a, i, j] == mags[i, j, a]
+                    assert C.values[a, i, j] == mags[a, i, j]
+
+    def test_kernel_unfolding_is_a_view(self):
+        # the (A*I, J) unfolding the kernel divides in every step
+        Y = random_bf_output(np.random.default_rng(0), I=6, J=5, A=3)
+        C = build_prop_tensor(Y)
+        assert np.shares_memory(C.values.reshape(3 * 6, 5), C.values)
 
     def test_rejects_wrong_rank(self):
         with pytest.raises(ValueError, match="array, bin, frame"):
@@ -407,7 +415,7 @@ class TestNtfWiener:
                             h=np.ones(3, dtype=np.int64))
         out = ntf_wiener(model, assign, Y)
         for a in range(2):
-            assert np.array_equal(out[a].values, Y.values[:, :, a])
+            assert np.array_equal(out.values[a], Y.values[a])
 
     def test_empty_target_class_warns_and_silences(self):
         rng = np.random.default_rng(47)
@@ -417,7 +425,7 @@ class TestNtfWiener:
         with pytest.warns(UserWarning, match="target class"):
             out = ntf_wiener(model, assign, Y)
         for a in range(2):
-            assert np.all(out[a].values == 0)
+            assert np.all(out.values[a] == 0)
 
     def test_hand_evaluated_gain(self):
         rng = np.random.default_rng(53)
@@ -433,7 +441,7 @@ class TestNtfWiener:
         out = ntf_wiener(model, assign, Y)
         num = (0.4 / 3 * 0.5) ** 2
         den = num + (0.6 / 3 * 0.25) ** 2
-        assert_allclose(out[0].values, (num / den) * 2.0, rtol=0, atol=1e-12)
+        assert_allclose(out.values[0], (num / den) * 2.0, rtol=0, atol=1e-12)
 
     def test_gain_never_amplifies(self):
         rng = np.random.default_rng(59)
@@ -442,7 +450,7 @@ class TestNtfWiener:
         assign = Assignment(b=np.array([0, 1, 0, 3]), h=np.array([1, 0, 1, 0]))
         out = ntf_wiener(model, assign, Y)
         for a in range(3):
-            assert np.all(np.abs(out[a].values) <= np.abs(Y.values[:, :, a]) + 1e-12)
+            assert np.all(np.abs(out.values[a]) <= np.abs(Y.values[a]) + 1e-12)
 
 
 class TestSchedule:
@@ -547,7 +555,7 @@ def test_both_methods_warn_on_large_k_and_empty_mask(method):
     with pytest.warns(UserWarning, match="no basis kept"):
         out = silence(model)
     for a in range(2):
-        assert np.all(out[a].values == 0)
+        assert np.all(out.values[a] == 0)
 
 
 def brute_force_gain(T, U, keep):
@@ -595,7 +603,7 @@ class TestMaskedWiener:
             gain = brute_force_gain(T, U, keep)
             out = run(keep)
             for a in range(self.A):
-                assert_allclose(out[a].values, gain[a] * Y.values[:, :, a],
+                assert_allclose(out.values[a], gain[a] * Y.values[a],
                                 rtol=0, atol=1e-12, err_msg=name)
             assert np.all(gain >= 0) and np.all(gain <= 1.0 + 1e-12)
 
@@ -608,7 +616,7 @@ class TestMaskedWiener:
         out = masked_wiener(T, U, keep, Y)
         gain = brute_force_gain(T, U, keep)
         for a in range(self.A):
-            assert_allclose(out[a].values, gain[a] * Y.values[:, :, a],
+            assert_allclose(out.values[a], gain[a] * Y.values[a],
                             rtol=0, atol=1e-12)
         assert np.all(gain >= 0) and np.all(gain <= 1.0 + 1e-12)
 
@@ -617,8 +625,8 @@ class TestMaskedWiener:
         for name, Y, T, U, keep, run in self._cases(rng):
             out = run(np.ones_like(keep))
             for a in range(self.A):
-                assert np.array_equal(out[a].values, Y.values[:, :, a]), name
-                assert not np.shares_memory(out[a].values, Y.values), name
+                assert np.array_equal(out.values[a], Y.values[a]), name
+                assert not np.shares_memory(out.values[a], Y.values), name
 
     def test_none_kept_warns_and_silences(self):
         rng = np.random.default_rng(97)
@@ -626,4 +634,4 @@ class TestMaskedWiener:
             with pytest.warns(UserWarning, match="no basis kept"):
                 out = run(np.zeros_like(keep))
             for a in range(self.A):
-                assert np.all(out[a].values == 0), name
+                assert np.all(out.values[a] == 0), name

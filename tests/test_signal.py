@@ -55,6 +55,20 @@ class TestRoundtrip:
             y = istft(stft(x, CFG), CFG, len(x))
             err = np.max(np.abs(y.samples - x.samples))
             assert err < 1e-10, f"seed {seed}: roundtrip error {err}"
+        # and a (2, 3, n) batch, as mvdr runs over its mics, in one
+        # transform each way: bit for bit the per-signal calls
+        x = rng.standard_normal((2, 3, n))
+        S = stft(x, CFG)
+        assert S.values.shape == (2, 3, CFG.n_bins, frame_count(n, CFG))
+        assert S.values.flags.c_contiguous
+        y = istft(S, CFG, n)
+        assert y.shape == (2, 3, n)
+        for a in range(2):
+            for m in range(3):
+                one = stft(Waveform(x[a, m], 16000), CFG)
+                assert np.array_equal(S.values[a, m], one.values)
+                assert np.array_equal(y[a, m], istft(one, CFG, n).samples)
+        assert np.max(np.abs(y - x)) < 1e-10
 
     def test_short_signal(self):
         x = Waveform(np.ones(5), 16000)
@@ -104,10 +118,18 @@ class TestIstftOverlapAdd:
                                + 1j * rng.standard_normal(shape), cfg)
         covered = n_frames * cfg.hop
         # shorter than the frames cover, exactly covered, and zero-padded
+        # and a (3, n_bins, n_frames) batch of spectrograms in one call
+        batch = ComplexSpectrogram(np.stack([S.values, 2.0 * S.values,
+                                             S.values.conj()]), cfg)
         for length in (0, 10, covered // 2, covered, covered + 3 * cfg.window_length):
             got = istft(S, cfg, length)
             assert got.samples.shape == (length,)
             assert np.array_equal(got.samples, loop_istft(S, cfg, length)), length
+            many = istft(batch, cfg, length)
+            assert many.shape == (3, length)
+            for b in range(3):
+                one = ComplexSpectrogram(batch.values[b], cfg)
+                assert np.array_equal(many[b], loop_istft(one, cfg, length))
 
 
 class TestFrameCount:
