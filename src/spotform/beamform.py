@@ -45,7 +45,6 @@ class BfOutputTensor:
 
     values: np.ndarray
     config: StftConfig
-    sample_rate: int
     n_samples: int
 
     def __post_init__(self):
@@ -107,7 +106,7 @@ def mvdr(X: ObservationTensor, d: SteeringSet,
     Y = np.zeros((A, cfg.n_bins, S.shape[-1]), dtype=np.complex128)
     for m in range(M):  # in mic order: a reordered sum rounds differently
         Y += w[:, :, m].conj()[:, :, None] * S[:, m]
-    return BfOutputTensor(Y, cfg, X.sample_rate, L)
+    return BfOutputTensor(Y, cfg, L)
 
 
 def _xcorr_full(x: np.ndarray, ref: np.ndarray) -> np.ndarray:

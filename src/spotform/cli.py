@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -133,7 +134,7 @@ def _cmd_spotform(args) -> int:
         raise SystemExit(f"spotform: {rate} Hz WAVs are not supported ({exc}); "
                          "resample them, e.g. to 16000 Hz") from exc
     Y = BfOutputTensor(stft(np.stack([w.samples[:n] for w in waves]), cfg).values,
-                       cfg, rate, n)
+                       cfg, n)
     estimates, fused = separate(Y, args.method, args.k, args.hyper, args.seed,
                                 args.iterations, args.warmup)
     out = Path(args.out)
@@ -210,8 +211,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; its warnings print once each, as `spotform:` lines.
+
+    They print on the way out, also when the command ends in SystemExit,
+    whose message then comes last.
+    """
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return args.func(args)
+        finally:
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                print(f"spotform: warning: {message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

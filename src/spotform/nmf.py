@@ -9,9 +9,10 @@ bases reconstructs the target per array.
 NMF is the tensor kernel of `spotform.ntf` at A = 1 with mu = 0: the
 concatenation is factorized as the (1, I, A*J) tensor, whose allocation Z
 stays 1 and whose allocation update collapses to a per-component rescaling
-of V.  This module holds no update formula of its own; it converts between
-the matrix and tensor views, thresholds the activations, and hands the mask
-to the shared Wiener gain.
+of V.  `fit_nmf` is the tensor's seeded start followed by the tensor step,
+repeated.  This module holds no update formula of its own; it converts
+between the matrix and tensor views, thresholds the activations, and hands
+the mask to the shared Wiener gain.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from spotform.ntf import (
     NtfModel,
     PropTensor,
     build_attractors,
-    factorize,
+    initial_model,
     masked_wiener,
 )
 from spotform.ntf import update_step as ntf_update_step
@@ -90,7 +91,11 @@ def fit_nmf(C: ConcatMatrix, K: int, iterations: int = 100,
     """Factorize the concat matrix with `iterations` update steps."""
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    model = factorize(C.values[None], K, [0.0] * iterations, seed)
+    tensor = PropTensor(C.values[None])
+    model = initial_model(*tensor.values.shape, K, seed)
+    attractors = build_attractors(1)
+    for it in range(iterations):
+        model = ntf_update_step(model, tensor, attractors, 0.0, it)
     return NmfModel(T=model.T, V=model.V, seed=seed)
 
 

@@ -17,14 +17,17 @@ Each factor update forms the model once, divides the data by it, then
 contracts that ratio R against the other two factors: R @ V reshaped to
 (A, I, K) and reduced against T (for Z) or Z (for T), and R^T @ W (for V).
 A step is six GEMMs of A*I*J*K multiply-adds each, plus elementwise passes
-over the A*I*J data; a fit forms every model and ratio in one buffer.
-The NMF baseline is this kernel at A = 1 with mu = 0 (see `spotform.nmf`).
+over the A*I*J data, and forms every model and ratio in one buffer.
+
+A fit is `initial_model`, the seeded start, followed by one `update_step` per
+iteration at that iteration's weight; a caller can stop after any step and
+go on from the model it holds.  The NMF baseline is this step at A = 1 with
+mu = 0 (see `spotform.nmf`).
 """
 
 from __future__ import annotations
 
 import warnings
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,21 +168,43 @@ def _ratio(c: np.ndarray, W: np.ndarray, V: np.ndarray,
     return np.divide(c, work, out=work)
 
 
-def _step(
+def initial_model(A: int, I: int, J: int, K: int, seed: int) -> NtfModel:
+    """The seeded start of a rank-K fit to (A, I, J) data.
+
+    One `default_rng(seed)` draws T, then V, uniform on [0, 1); T's columns
+    are normalized and Z is uniform.  Warns when K exceeds min(A*I, J).
+    """
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    if K > min(A * I, J):
+        warnings.warn(f"K={K} exceeds min(A*I, J)={min(A * I, J)}; proceeding")
+    rng = np.random.default_rng(seed)
+    T = rng.uniform(0.0, 1.0, size=(I, K))
+    V = rng.uniform(0.0, 1.0, size=(J, K))
+    T /= T.sum(axis=0, keepdims=True)
+    return NtfModel(Z=np.full((A, K), 1.0 / A), T=T, V=V, seed=seed)
+
+
+def update_step(
     model: NtfModel,
-    c: np.ndarray,
+    C: PropTensor,
     attractors: AttractorSet,
     mu: float,
-    iteration: int | None,
-    work: np.ndarray,
+    iteration: int | None = None,
 ) -> NtfModel:
-    """`update_step` on the (A*I, J) unfolding `c` of the data.
+    """One composite iteration: assign, update Z, update T, update V.
 
-    Every ratio is formed in `work`, a buffer shaped like `c`.  At mu = 0 the
-    attractor pull adds nothing, so the assignment is skipped.
+    The attractor assignment must happen before the Z update; Z and T are
+    renormalized to the simplex afterwards with the scale folded into V,
+    which leaves the composed tensor (and hence the cost) unchanged.  At
+    mu = 0 the attractor pull adds nothing, so the assignment is skipped.
+    Every ratio is formed in one (A*I, J) buffer allocated per call.
     """
+    A, I, J = C.values.shape
+    c = C.values.reshape(A * I, J)
+    work = np.empty(c.shape)
     Z, T, V = model.Z, model.T, model.V
-    (A, K), I = Z.shape, T.shape[0]
+    K = Z.shape[1]
 
     RV = (_ratio(c, _khatri_rao(Z, T), V, work) @ V).reshape(A, I, K)
     num = Z * np.einsum("aik,ik->ak", RV, T)
@@ -207,59 +232,15 @@ def _step(
     return out
 
 
-def update_step(
-    model: NtfModel,
-    C: PropTensor,
-    attractors: AttractorSet,
-    mu: float,
-    iteration: int | None = None,
-) -> NtfModel:
-    """One composite iteration: assign, update Z, update T, update V.
-
-    The attractor assignment must happen before the Z update; Z and T are
-    renormalized to the simplex afterwards with the scale folded into V,
-    which leaves the composed tensor (and hence the cost) unchanged.
-    """
-    A, I, J = C.values.shape
-    c = C.values.reshape(A * I, J)
-    return _step(model, c, attractors, mu, iteration, np.empty(c.shape))
-
-
-def factorize(
-    c: np.ndarray, K: int, weights: Sequence[float], seed: int
-) -> NtfModel:
-    """The factorization kernel shared by NTF and NMF, on (A, I, J) data.
-
-    Runs the update step once per entry of `weights`, the attractor weight of
-    that iteration, and returns the model.  Every step forms its ratios in
-    one buffer the fit allocates.  NMF calls this on its (1, I, A*J)
-    concatenation with every weight zero.
-    """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    A, I, J = c.shape
-    if K > min(A * I, J):
-        warnings.warn(f"K={K} exceeds min(A*I, J)={min(A * I, J)}; proceeding")
-    attractors = build_attractors(A)
-    rng = np.random.default_rng(seed)
-    T = rng.uniform(0.0, 1.0, size=(I, K))
-    V = rng.uniform(0.0, 1.0, size=(J, K))
-    T /= T.sum(axis=0, keepdims=True)
-    model = NtfModel(Z=np.full((A, K), 1.0 / A), T=T, V=V, seed=seed)
-    unfolded = c.reshape(A * I, J)
-    work = np.empty(unfolded.shape)
-    for it, w in enumerate(weights):
-        model = _step(model, unfolded, attractors, w, it, work)
-    return model
-
-
 def fit_ntf(
     C: PropTensor, K: int, schedule: RegularizationSchedule, seed: int = 0
 ) -> tuple[NtfModel, Assignment]:
     """Run the full schedule; returns the model and its final assignment."""
-    weights = [schedule.weight_at(it) for it in range(schedule.total_iterations)]
-    model = factorize(C.values, K, weights, seed)
-    return model, assign_attractors(model.Z, build_attractors(C.n_arrays))
+    model = initial_model(*C.values.shape, K, seed)
+    attractors = build_attractors(C.n_arrays)
+    for it in range(schedule.total_iterations):
+        model = update_step(model, C, attractors, schedule.weight_at(it), it)
+    return model, assign_attractors(model.Z, attractors)
 
 
 def masked_wiener(

@@ -318,8 +318,7 @@ class TestSeparate:
         cfg = StftConfig()
         specs = [stft(Waveform(voices[0].samples + 2.0 * v.samples, 16000),
                       cfg).values for v in voices[1:]]
-        Y = BfOutputTensor(np.stack(specs), cfg, 16000,
-                           len(voices[0]))
+        Y = BfOutputTensor(np.stack(specs), cfg, len(voices[0]))
         perm = [1, 0] if n_arrays == 2 else [2, 0, 1]
         Yp = replace(Y, values=Y.values[perm])
         _, assignment = _fit(Y, "ntf", k, 100.0, 3, 40, 20)
@@ -649,7 +648,7 @@ class TestCli:
         cfg = StftConfig(sample_rate=waves[0].sample_rate)
         specs = [stft(Waveform(w.samples[:n], w.sample_rate), cfg).values
                  for w in waves]
-        Y = BfOutputTensor(np.stack(specs), cfg, cfg.sample_rate, n)
+        Y = BfOutputTensor(np.stack(specs), cfg, n)
         want, want_fused = separate(Y, method, k, hyper, 7, iterations, warmup)
         got = [read_wav(tmp_path / "spot" / name) for name in names]
         for g, w in zip(got, [*want, want_fused], strict=True):
@@ -658,38 +657,51 @@ class TestCli:
                                           w.samples.astype(np.float32))
 
     def test_spotform_fails_on_a_silent_input_after_writing(self, sources,
-                                                             tmp_path):
+                                                             tmp_path, capsys):
         silent = tmp_path / "silent.wav"
         write_wav(silent, Waveform(np.zeros(len(read_wav(sources[1]))), 16000))
-        with pytest.warns(UserWarning) as caught, \
-                pytest.raises(SystemExit) as exc:
+        with pytest.raises(SystemExit) as exc:
             main(["spotform", sources[0], str(silent), "--method", "ntf",
                   "--k", "6", "--hyper", "100", "--iterations", "20",
                   "--warmup", "10", "--out", str(tmp_path / "spot")])
         assert str(exc.value.code) == (
             f"spotform: the fused estimate is all zero; silent input: {silent}")
-        assert {str(w.message) for w in caught} == {
-            "no basis kept for the target class; output is zero",
-            "all-zero estimate contributes nothing to the fusion"}
+        assert capsys.readouterr().err.splitlines() == [
+            "spotform: warning: no basis kept for the target class; output "
+            "is zero",
+            "spotform: warning: all-zero estimate contributes nothing to the "
+            "fusion"]
         names = sorted(p.name for p in (tmp_path / "spot").iterdir())
         assert names == ["estimate_array0.wav", "estimate_array1.wav",
                          "estimate_fused.wav"]
 
-    def test_spotform_fails_when_no_basis_is_kept(self, sources, tmp_path):
+    def test_spotform_fails_when_no_basis_is_kept(self, sources, tmp_path,
+                                                  capsys):
         # no activation exceeds this tau, so the mask keeps nothing
-        with pytest.warns(UserWarning) as caught, \
-                pytest.raises(SystemExit) as exc:
+        with pytest.raises(SystemExit) as exc:
             main(["spotform", sources[0], sources[1], "--method", "nmf",
                   "--k", "3", "--hyper", "1e9", "--iterations", "8",
                   "--out", str(tmp_path / "spot")])
         assert str(exc.value.code) == ("spotform: the fused estimate is all "
                                        "zero; no basis was kept for the "
                                        "target class")
-        assert {str(w.message) for w in caught} == {
-            "no basis kept for the target class; output is zero",
-            "all-zero estimate contributes nothing to the fusion"}
+        assert capsys.readouterr().err.splitlines() == [
+            "spotform: warning: no basis kept for the target class; output "
+            "is zero",
+            "spotform: warning: all-zero estimate contributes nothing to the "
+            "fusion"]
         assert not np.any(read_wav(tmp_path / "spot" / "estimate_fused.wav")
                           .samples)
+
+    def test_spotform_prints_a_warning_and_still_succeeds(self, sources,
+                                                          tmp_path, capsys):
+        # 1.2 s at a 16 ms hop is 75 frames, fewer than K
+        code = main(["spotform", sources[0], sources[1], "--method", "ntf",
+                     "--k", "80", "--hyper", "0", "--iterations", "4",
+                     "--warmup", "2", "--out", str(tmp_path / "spot")])
+        assert code == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "spotform: warning: K=80 exceeds min(A*I, J)=75; proceeding"]
 
     def test_spotform_rejects_cd_rate_with_message(self, sources, tmp_path):
         # a 32 ms window is not a whole number of samples at 44100 Hz

@@ -30,7 +30,7 @@ def random_bf_output(rng, I=6, J=5, A=2):
     # drawn (I, J, A), so each seeded test keeps the numbers it was written for
     vals = vals.transpose(2, 0, 1)
     cfg = StftConfig(window_length_ms=(I - 1) * 2 / 16, hop_ms=(I - 1) / 16)
-    return BfOutputTensor(vals, cfg, 16000, J * cfg.hop)
+    return BfOutputTensor(vals, cfg, J * cfg.hop)
 
 
 def brute_force_step(T, V, c):

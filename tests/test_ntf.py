@@ -36,6 +36,7 @@ from spotform.ntf import (
     build_prop_tensor,
     evaluate_cost,
     fit_ntf,
+    initial_model,
     masked_wiener,
     ntf_wiener,
     update_step,
@@ -48,16 +49,7 @@ def random_bf_output(rng, I=6, J=5, A=2):
     # drawn (I, J, A), so each seeded test keeps the numbers it was written for
     vals = vals.transpose(2, 0, 1)
     cfg = StftConfig(window_length_ms=(I - 1) * 2 / 16, hop_ms=(I - 1) / 16)
-    return BfOutputTensor(vals, cfg, 16000, J * cfg.hop)
-
-
-def initial_model(A, I, J, K, seed):
-    """The model a fit with stream seed `seed` starts from."""
-    init = np.random.default_rng(seed)
-    T = init.uniform(0.0, 1.0, size=(I, K))
-    V = init.uniform(0.0, 1.0, size=(J, K))
-    T /= T.sum(axis=0, keepdims=True)
-    return NtfModel(Z=np.full((A, K), 1.0 / A), T=T, V=V, seed=seed)
+    return BfOutputTensor(vals, cfg, J * cfg.hop)
 
 
 def random_model(rng, A=2, I=4, J=3, K=3):
@@ -504,7 +496,10 @@ def test_update_never_increases_cost(A, I, J, K, mu, seed):
 @pytest.mark.parametrize("A", [1, 2, 3])
 @pytest.mark.parametrize("mu", [0.0, 5.0])
 def test_trace_matches_cost_of_each_iterate(A, mu):
-    """fit_ntf equals update_step iterated over its schedule, bit for bit."""
+    """fit_ntf equals update_step iterated over its schedule, bit for bit,
+    and the scalar step iterated from an independently drawn start to 1e-9;
+    a short fit_nmf of the same data's concatenation matches the scalar step
+    at A = 1, mu = 0."""
     rng = np.random.default_rng(71 + A)
     I, J, K, seed = 7, 9, 3, 5
     c = rng.uniform(0.0, 2.0, size=(A, I, J))
@@ -520,6 +515,29 @@ def test_trace_matches_cost_of_each_iterate(A, mu):
     for got, exp in ((model.Z, ref.Z), (model.T, ref.T), (model.V, ref.V)):
         assert np.array_equal(got, exp)
     assert np.array_equal(assignment.b, assign_attractors(ref.Z, attr).b)
+
+    def seeded_start(A, I, J):
+        # one generator draws T, then V; T's columns on the simplex
+        draw = np.random.default_rng(seed)
+        T = draw.uniform(0.0, 1.0, size=(I, K))
+        V = draw.uniform(0.0, 1.0, size=(J, K))
+        return NtfModel(Z=np.full((A, K), 1.0 / A), T=T / T.sum(axis=0),
+                        V=V, seed=seed)
+
+    scalar = seeded_start(A, I, J)
+    for w in [0.0] * 4 + [mu] * 6:
+        scalar = brute_force_step(scalar, c, attr.P, w)
+    for got, exp in ((model.Z, scalar.Z), (model.T, scalar.T),
+                     (model.V, scalar.V)):
+        assert_allclose(got, exp, rtol=1e-9, atol=0)
+
+    concat = c.transpose(1, 0, 2).reshape(I, A * J)
+    nmf = fit_nmf(ConcatMatrix(concat, A, J), K, iterations=5, seed=seed)
+    scalar = seeded_start(1, I, A * J)
+    for _ in range(5):
+        scalar = brute_force_step(scalar, concat[None], np.ones((1, 2)), 0.0)
+    assert_allclose(nmf.T, scalar.T, rtol=1e-9, atol=0)
+    assert_allclose(nmf.V, scalar.V, rtol=1e-9, atol=0)
 
 
 @pytest.mark.parametrize("method", ["nmf", "ntf"])
