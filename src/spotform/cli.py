@@ -211,19 +211,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; its warnings print once each, as `spotform:` lines.
-
-    They print on the way out, also when the command ends in SystemExit,
-    whose message then comes last.
-    """
+    """Run one command; each distinct warning prints once, as it arrives."""
     args = build_parser().parse_args(argv)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            return args.func(args)
-        finally:
-            for message in dict.fromkeys(str(w.message) for w in caught):
-                print(f"spotform: warning: {message}", file=sys.stderr)
+    seen = set()
+
+    def show(message, *_):
+        if str(message) not in seen:
+            seen.add(str(message))
+            print(f"spotform: warning: {message}", file=sys.stderr)
+
+    with warnings.catch_warnings():
+        warnings.showwarning = show
+        return args.func(args)
 
 
 if __name__ == "__main__":

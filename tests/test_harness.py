@@ -656,6 +656,7 @@ class TestCli:
             np.testing.assert_array_equal(g.samples,
                                           w.samples.astype(np.float32))
 
+    @pytest.mark.filterwarnings("default::UserWarning")
     def test_spotform_fails_on_a_silent_input_after_writing(self, sources,
                                                              tmp_path, capsys):
         silent = tmp_path / "silent.wav"
@@ -675,6 +676,7 @@ class TestCli:
         assert names == ["estimate_array0.wav", "estimate_array1.wav",
                          "estimate_fused.wav"]
 
+    @pytest.mark.filterwarnings("default::UserWarning")
     def test_spotform_fails_when_no_basis_is_kept(self, sources, tmp_path,
                                                   capsys):
         # no activation exceeds this tau, so the mask keeps nothing
@@ -693,6 +695,7 @@ class TestCli:
         assert not np.any(read_wav(tmp_path / "spot" / "estimate_fused.wav")
                           .samples)
 
+    @pytest.mark.filterwarnings("default::UserWarning")
     def test_spotform_prints_a_warning_and_still_succeeds(self, sources,
                                                           tmp_path, capsys):
         # 1.2 s at a 16 ms hop is 75 frames, fewer than K
