@@ -14,7 +14,9 @@ roomsim   2-D image-method room simulator and scene description.
 beamform  Oracle MVDR beamforming per array, plus a delay-and-sum reference.
 nmf       Baseline: NMF on the concatenated spectrograms + threshold mask.
 ntf       Proposed: NTF with attractor-regularized array factors.
+gkl       Generalized Kullback-Leibler divergence for the NTF cost.
 evaluate  SI-SDR and filtered-reference SDR metrics.
+synth     Deterministic speech-like test sources.
 harness   End-to-end experiment runner: results, summary and manifest files.
 cli       Command-line front end (`spotform`).
 

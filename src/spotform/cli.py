@@ -46,16 +46,16 @@ def _cmd_simulate(args) -> int:
     out = Path(args.out)
     if args.config:
         cfg = _load(ExperimentConfig.load, args.config)
-    else:
-        scene = default_scene(n_arrays=args.arrays, t60=args.t60)
-        paths = write_demo_sources(out / "sources", scene.n_sources,
-                                   args.duration, scene.sample_rate,
-                                   seed=args.seed)
-        cfg = ExperimentConfig(scene=scene,
-                               source_paths=tuple(str(p) for p in paths),
-                               out_dir=str(out))
-    scene = cfg.scene
     try:
+        if not args.config:
+            scene = default_scene(n_arrays=args.arrays, t60=args.t60)
+            paths = write_demo_sources(out / "sources", scene.n_sources,
+                                       args.duration, scene.sample_rate,
+                                       seed=args.seed)
+            cfg = ExperimentConfig(scene=scene,
+                                   source_paths=tuple(str(p) for p in paths),
+                                   out_dir=str(out))
+        scene = cfg.scene
         sources = load_sources(cfg)
         rirs = simulate_rirs(scene)
         obs = render_observations(sources, rirs)
@@ -110,6 +110,8 @@ def _check_spotform_args(args) -> None:
     if args.iterations < 1:
         raise SystemExit(f"spotform: --iterations must be >= 1, "
                          f"got {args.iterations}")
+    if args.seed < 0:
+        raise SystemExit(f"spotform: --seed must be >= 0, got {args.seed}")
     # only the ntf schedule has a warmup
     if args.method == "ntf" and not 0 <= args.warmup <= args.iterations:
         raise SystemExit(f"spotform: --warmup must lie in 0..--iterations "

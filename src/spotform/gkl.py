@@ -1,4 +1,6 @@
-"""Generalized Kullback-Leibler divergence, shared by the factorization modules.
+"""Generalized Kullback-Leibler divergence, the NTF cost's divergence.
+
+Only `ntf` imports it; NMF runs the tensor step, so it needs nothing here.
 
 Convention: d(b | a) = b*log(b/a) + a - b.  The zero cases matter here
 because the attractor vectors contain genuine zeros: d(0 | a) = a, and

@@ -345,60 +345,48 @@ def _extract(Y: BfOutputTensor, method: str, fit, hyper: float
     return waves, delay_and_sum(waves)
 
 
-def _execute(cfg: ExperimentConfig, state: PipelineState, method: str,
-             k: int, hyper: float, seed_index: int, fits: dict
-             ) -> tuple[list[Waveform], Waveform, PreparedReference]:
-    """Run one method; returns (per-array estimates, fused output, reference).
-
-    `fits` maps `_fit_key` to a `_fit` result or the exception the fit
-    raised; a missing fit is made and stored, so the rows of one group fit
-    once and, if it fails, all fail with its reason.
-    """
-    if method == "bf-only":
-        if not (float(hyper).is_integer() and 0 <= hyper < cfg.scene.n_arrays):
-            raise ValueError(f"bf-only hyper must be an array index, got {hyper}")
-        array = int(hyper)
-        wave = state.bf_waves[array]
-        return [wave], wave, state.prepared[array]
-    key = _fit_key(method, k, hyper, seed_index)
-    if key not in fits:
-        stream_seed = derive_seed(cfg.master_seed, method, k, hyper, seed_index)
-        try:
-            fits[key] = _fit(state.bf_tensor, method, k, hyper, stream_seed,
-                             cfg.iterations, cfg.warmup_iterations)
-        except Exception as exc:  # noqa: BLE001 - reraised for every row
-            fits[key] = exc
-    fit = fits[key]
-    if isinstance(fit, Exception):
-        raise fit
-    waves, fused = _extract(state.bf_tensor, method, fit, hyper)
-    return waves, fused, state.prepared[0]
-
-
-def _score(cfg: ExperimentConfig, fused: Waveform,
-           reference: PreparedReference) -> tuple[float, float]:
-    return (filtered_sdr(fused, reference, cfg.filter_taps),
-            si_sdr(fused, reference.waveform))
-
-
 def _run_task(cfg: ExperimentConfig, state: PipelineState,
               task: tuple[str, int, float, int], fits: dict | None = None,
               ) -> tuple[ResultRow, list[Waveform], Waveform | None]:
     """Run and score one row; returns (row, per-array estimates, fused).
 
-    Rows given the same `fits` dict share their fit; the row that makes it
-    carries its time in runtime_ms."""
+    A bf-only row scores array `hyper`'s beamformer output against that
+    array's reference.  An nmf or ntf row extracts from the `_fit` result
+    that `fits` holds under `_fit_key`, made and stored if missing, and
+    scores the fused output against array 0's reference.  Rows given the
+    same `fits` dict share their fit: the row that makes it carries its time
+    in runtime_ms, and if the fit raised, every row fails with its reason."""
     method, k, hyper, seed_index = task
+    fits = {} if fits is None else fits
     waves: list[Waveform] = []
     fused = None
     start = time.perf_counter()
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            waves, fused, reference = _execute(
-                cfg, state, method, k, hyper, seed_index,
-                {} if fits is None else fits)
-            f_db, s_db = _score(cfg, fused, reference)
+            if method == "bf-only":
+                if not (float(hyper).is_integer()
+                        and 0 <= hyper < cfg.scene.n_arrays):
+                    raise ValueError(
+                        f"bf-only hyper must be an array index, got {hyper}")
+                fused = state.bf_waves[int(hyper)]
+                waves, reference = [fused], state.prepared[int(hyper)]
+            else:
+                key = _fit_key(method, k, hyper, seed_index)
+                if key not in fits:
+                    seed = derive_seed(cfg.master_seed, method, k, hyper,
+                                       seed_index)
+                    try:
+                        fits[key] = _fit(state.bf_tensor, method, k, hyper, seed,
+                                         cfg.iterations, cfg.warmup_iterations)
+                    except Exception as exc:  # noqa: BLE001 - reraised for every row
+                        fits[key] = exc
+                if isinstance(fits[key], Exception):
+                    raise fits[key]
+                waves, fused = _extract(state.bf_tensor, method, fits[key], hyper)
+                reference = state.prepared[0]
+            f_db = filtered_sdr(fused, reference, cfg.filter_taps)
+            s_db = si_sdr(fused, reference.waveform)
         status, reason = "ok", ""
     except Exception as exc:  # noqa: BLE001 - row-level fault isolation
         f_db = s_db = float("nan")
@@ -472,7 +460,7 @@ def _init_worker(cfg: ExperimentConfig, state: PipelineState) -> None:
 
 class _Deadline(BaseException):
     """A fit group outlived its timeout_s.  Not an `Exception`, so that the
-    row-level handlers of `_run_task` and `_execute` let it through."""
+    fit and row handlers of `_run_task` let it through."""
 
 
 def _run_group(cfg: ExperimentConfig, state: PipelineState,

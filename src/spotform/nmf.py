@@ -102,8 +102,8 @@ def fit_nmf(C: ConcatMatrix, K: int, iterations: int = 100,
 def threshold_mask(model: NmfModel, n_arrays: int, n_frames: int,
                    tau: float) -> FrameMask:
     """Keep (frame, basis) cells whose activation exceeds tau in every array."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    if not (np.isfinite(tau) and tau >= 0):
+        raise ValueError(f"tau must be finite and nonnegative, got {tau}")
     blocks = model.V.reshape(n_arrays, n_frames, model.K)
     return FrameMask(np.all(blocks > tau, axis=0).astype(np.int8))
 

@@ -105,8 +105,8 @@ class RegularizationSchedule:
     total_iterations: int = 100
 
     def __post_init__(self):
-        if self.mu < 0:
-            raise ValueError("mu must be nonnegative")
+        if not (np.isfinite(self.mu) and self.mu >= 0):
+            raise ValueError(f"mu must be finite and nonnegative, got {self.mu}")
         if not 0 <= self.warmup_iterations <= self.total_iterations:
             raise ValueError("warmup must lie within the total iteration count")
 

@@ -96,6 +96,11 @@ def default_voices(
     """Distinct-pitch voices; index 0 is meant as the target."""
     if n_sources < 1:
         raise ValueError("need at least one source")
+    if not (np.isfinite(duration_s) and duration_s > 0):
+        raise ValueError(f"duration must be a finite number of seconds > 0, "
+                         f"got {duration_s}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     return [
         harmonic_voice(duration_s, sample_rate, seed + 17 * i,
                        f0=DEFAULT_F0S[i % len(DEFAULT_F0S)])
@@ -107,12 +112,15 @@ def write_demo_sources(
     directory, n_sources: int, duration_s: float, sample_rate: int,
     seed: int = 0,
 ) -> list[Path]:
-    """Render the default voices to WAV files, target first."""
+    """Render the default voices to WAV files, target first.
+
+    The voices are made before the directory, so bad arguments create none.
+    """
+    voices = default_voices(n_sources, duration_s, sample_rate, seed)
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
     paths = []
-    for i, wav in enumerate(default_voices(n_sources, duration_s,
-                                           sample_rate, seed)):
+    for i, wav in enumerate(voices):
         name = "target.wav" if i == 0 else f"interferer{i}.wav"
         write_wav(d / name, wav)
         paths.append(d / name)

@@ -27,6 +27,7 @@ from spotform.harness import (
     ExperimentConfig,
     _fit,
     _group_tasks,
+    _run_group,
     _run_task,
     derive_seed,
     enumerate_tasks,
@@ -423,6 +424,24 @@ class TestRunExperiment:
                 "FloatingPointError: numerical divergence at iteration 3")
             for r in rows)
 
+    def test_row_that_fits_carries_the_fit_time(self, tau_cfg, state,
+                                                monkeypatch):
+        # the group's first row makes the fit and the later rows reuse it,
+        # so a 0.3 s fit shows in the first row's runtime_ms alone
+        fit = harness._fit
+
+        def slow_fit(*args):
+            time.sleep(0.3)
+            return fit(*args)
+
+        monkeypatch.setattr(harness, "_fit", slow_fit)
+        group = _group_tasks(enumerate_tasks(tau_cfg))[0]
+        assert len(group) == 3
+        rows = _run_group(tau_cfg, state, group)
+        assert all(r.status == "ok" for r in rows)
+        assert rows[0].runtime_ms >= 300
+        assert all(r.runtime_ms < 300 for r in rows[1:])
+
     def test_each_reference_prepared_once_per_sweep(self, tau_cfg, tmp_path,
                                                     monkeypatch):
         calls = []
@@ -774,8 +793,9 @@ class TestCli:
         ("nmf", ["--iterations", "0"], "--iterations must be >= 1, got 0"),
         ("ntf", ["--warmup", "20", "--iterations", "10"],
          "--warmup must lie in 0..--iterations (10), got 20"),
+        ("ntf", ["--seed", "-1"], "--seed must be >= 0, got -1"),
     ], ids=["k", "ntf-hyper", "nmf-hyper", "nan-hyper", "iterations",
-            "warmup"])
+            "warmup", "seed"])
     def test_spotform_rejects_bad_numbers_with_message(
             self, sources, tmp_path, monkeypatch, method, argv, message):
         def no_read(path):
@@ -874,6 +894,21 @@ class TestCli:
                   "--out", str(tmp_path / "out")])
         assert str(exc.value.code).startswith("spotform: ")
         assert message in str(exc.value.code)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--arrays", "4"], ["--arrays", "0"], ["--t60", "-1"], ["--t60", "nan"],
+        ["--duration", "0"], ["--duration", "-1"], ["--duration", "nan"],
+        ["--seed", "-1"],
+    ], ids=["arrays-4", "arrays-0", "t60-negative", "t60-nan", "duration-0",
+            "duration-negative", "duration-nan", "seed-negative"])
+    def test_simulate_bad_argument_ends_with_message(self, tmp_path, argv):
+        # the default scene and its sources are checked before anything is
+        # written, so not even the sources directory is left under --out
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--duration", "0.4", *argv,
+                  "--out", str(tmp_path / "out")])
+        assert str(exc.value.code).startswith("spotform: ")
         assert not (tmp_path / "out").exists()
 
     def test_spotform_does_not_import_scipy_signal(self, sources, tmp_path):

@@ -178,8 +178,9 @@ class TestThresholdMask:
         assert mask.values[0, 0] == 0
 
     def test_negative_tau_rejected(self):
-        with pytest.raises(ValueError):
-            threshold_mask(self._model(np.ones((2, 1))), 2, 1, -0.1)
+        for tau in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                threshold_mask(self._model(np.ones((2, 1))), 2, 1, tau)
 
     @given(
         tau1=st.floats(0.0, 1.0),

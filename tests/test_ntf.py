@@ -452,8 +452,9 @@ class TestSchedule:
         assert [sched.weight_at(i) for i in range(5)] == [0.0, 0.0, 7.0, 7.0, 7.0]
 
     def test_rejects_negative_mu(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            RegularizationSchedule(mu=-1.0)
+        for mu in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="nonnegative"):
+                RegularizationSchedule(mu=mu)
 
     def test_rejects_warmup_beyond_total(self):
         with pytest.raises(ValueError, match="warmup"):
