@@ -154,6 +154,8 @@ def _cmd_spotform(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.taps < 1:
+        raise SystemExit(f"spotform: --taps must be >= 1, got {args.taps}")
     est = _load(read_wav, args.estimate)
     ref = _load(read_wav, args.reference)
     try:

@@ -9,8 +9,10 @@ hopeless matches are capped at +/-300 dB so every score stays finite in CSVs.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -69,6 +71,8 @@ class PreparedReference:
     length of at least n + filter_taps - 1, so every correlation and
     convolution below is linear (no wrap-around).  `auto` holds the
     autocorrelation lags 0..filter_taps-1.  Made by `prepare_reference`.
+    `predictor` is the Levinson-Durbin predictor of `auto`, built by the
+    first solve against this reference and kept for the rest.
     """
 
     waveform: Waveform
@@ -77,15 +81,14 @@ class PreparedReference:
     spectrum: np.ndarray
     auto: np.ndarray
 
+    @cached_property
+    def predictor(self) -> tuple[np.ndarray, float]:
+        return _levinson_durbin(self.auto)
+
 
 def prepare_reference(reference: Waveform, filter_taps: int
                       ) -> PreparedReference:
     """Spectrum and autocorrelation of `reference`, for scoring many estimates."""
-    # scipy.linalg is imported here although only the solve uses it: a sweep
-    # prepares its references before the pool forks, so the workers inherit
-    # it instead of importing it each.  Lazy, as `spotform` needs no scipy.
-    import scipy.linalg  # noqa: F401
-
     if filter_taps < 1:
         raise ValueError("filter_taps must be >= 1")
     s = reference.samples
@@ -107,21 +110,25 @@ def filtered_sdr(estimate: Waveform,
     """SDR in dB after fitting a least-squares FIR from reference to estimate.
 
     The normal equations use the full-signal correlations, so the system
-    matrix is symmetric Toeplitz and Levinson recursion applies.  It is the
-    Gram matrix of the zero-padded reference's shifts, so it is positive
-    definite for any nonzero reference, one shorter than the filter too.
-    Only a reference whose spectrum falls to rounding level over part of the
-    band (e.g. a short, very smooth pulse scored with 512 taps) makes it
-    singular to working precision.  When Levinson then fails, or leaves a
-    residual above 1e-8 of the cross-correlation, a small ridge is added and
-    a warning emitted.
+    matrix is symmetric Toeplitz.  It is the Gram matrix of the zero-padded
+    reference's shifts, so it is positive definite for any nonzero
+    reference, one shorter than the filter too.  Its inverse factors
+    through the reference's order filter_taps-1 Levinson-Durbin predictor
+    (Gohberg-Semencul), so each solve is four convolutions of filter_taps
+    samples.  Only a reference whose spectrum falls to rounding level over
+    part of the band (e.g. a short, very smooth pulse scored with 512 taps)
+    makes the matrix singular to working precision.  When the recursion
+    then breaks down, or the solve leaves a residual above 1e-8 of the
+    cross-correlation, a small ridge is added and a warning emitted.
 
     `reference` may be a `PreparedReference` made with the same
     `filter_taps` (a different count raises `ValueError`); a `Waveform` is
     prepared here.  Each call then costs four FFTs of the prepared size: the
     estimate's spectrum, the filter_taps cross-correlation lags, the
     filter's spectrum, and the projection.  An estimate shorter than the
-    prepared reference is scored on the common part, prepared anew.
+    prepared reference is scored on the common part, prepared anew.  Memory
+    stays O(filter_taps) beside the FFTs: no filter_taps^2 matrix is made
+    unless both the recursion and the ridge fail.
     """
     if isinstance(reference, PreparedReference):
         if reference.filter_taps != filter_taps:
@@ -142,7 +149,7 @@ def filtered_sdr(estimate: Waveform,
                          size)[:filter_taps]
     cross[n:] = 0.0
 
-    g = _solve_normal_equations(prepared.auto, cross)
+    g = _solve_normal_equations(prepared.auto, cross, prepared.predictor)
     if filter_taps > 1:
         proj = np.fft.irfft(spectrum * np.fft.rfft(g, size), size)[:n]
     else:
@@ -159,14 +166,47 @@ def _toeplitz_product(auto: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.convolve(np.concatenate((auto[:0:-1], auto)), g, mode="valid")
 
 
-def _try_levinson(auto: np.ndarray, cross: np.ndarray) -> np.ndarray | None:
-    import scipy.linalg  # lazy: see prepare_reference
+def _levinson_durbin(auto: np.ndarray) -> tuple[np.ndarray, float]:
+    """The forward predictor of the symmetric Toeplitz system `auto`.
 
-    try:
-        with np.errstate(all="ignore"):
-            g = scipy.linalg.solve_toeplitz(auto, cross)
-    except (ValueError, np.linalg.LinAlgError):
+    Returns (a, e) with a[0] = 1 and T a = (e, 0, ..., 0), T the matrix with
+    first column `auto`: a/e is the first column of T's inverse.  When the
+    recursion breaks down, i.e. a prediction error is not a finite number
+    > 0, as it is for a matrix that is not positive definite, it stops
+    there and returns that error.
+    """
+    n = auto.shape[0]
+    a = np.zeros(n)
+    a[0] = 1.0
+    e = float(auto[0])
+    for k in range(1, n):
+        if not 0.0 < e < math.inf:
+            break
+        kappa = -float(np.dot(a[:k], auto[k:0:-1])) / e
+        a[1:k] += kappa * a[k - 1:0:-1]
+        a[k] = kappa
+        e *= 1.0 - kappa * kappa
+    a.flags.writeable = False
+    return a, e
+
+
+def _try_solve(auto: np.ndarray, cross: np.ndarray,
+               predictor: tuple[np.ndarray, float]) -> np.ndarray | None:
+    """Solve T g = cross from T's Levinson-Durbin predictor (a, e), or None
+    when the recursion broke down or the residual exceeds 1e-8 of `cross`.
+
+    T^-1 = (A A^T - B B^T) / e, A and B lower-triangular Toeplitz with
+    first columns a and (0, a[n-1], ..., a[1]) (Gohberg & Semencul, 1972),
+    so the solve is four length-n convolutions and never forms a matrix.
+    """
+    a, e = predictor
+    if not 0.0 < e < math.inf:
         return None
+    n = a.shape[0]
+    b = np.concatenate(([0.0], a[:0:-1]))
+    with np.errstate(all="ignore"):
+        g = (np.convolve(a, np.correlate(cross, a, "full")[n - 1:])[:n]
+             - np.convolve(b, np.correlate(cross, b, "full")[n - 1:])[:n]) / e
     if not np.all(np.isfinite(g)):
         return None
     residual = _toeplitz_product(auto, g) - cross
@@ -176,20 +216,26 @@ def _try_levinson(auto: np.ndarray, cross: np.ndarray) -> np.ndarray | None:
     return g
 
 
-def _solve_normal_equations(auto: np.ndarray, cross: np.ndarray) -> np.ndarray:
-    import scipy.linalg  # lazy: see prepare_reference
-
-    g = _try_levinson(auto, cross)
+def _solve_normal_equations(auto: np.ndarray, cross: np.ndarray,
+                            predictor: tuple[np.ndarray, float] | None = None
+                            ) -> np.ndarray:
+    """g with T g = cross, T the symmetric Toeplitz matrix with first column
+    `auto`; `predictor` is `_levinson_durbin(auto)`, built here if None."""
+    if predictor is None:
+        predictor = _levinson_durbin(auto)
+    g = _try_solve(auto, cross, predictor)
     if g is not None:
         return g
     warnings.warn("ill-conditioned normal equations; adding ridge")
     ridged = auto.copy()
     ridged[0] += RIDGE_FACTOR * auto.shape[0] * auto[0]
-    g = _try_levinson(ridged, cross)
+    g = _try_solve(ridged, cross, _levinson_durbin(ridged))
     if g is not None:
         return g
-    # Levinson can break even on the ridged system; fall back to dense LS
-    g, *_ = scipy.linalg.lstsq(scipy.linalg.toeplitz(ridged), cross)
+    # the recursion can break even on the ridged system; fall back to dense LS
+    lags = np.arange(auto.shape[0])
+    g, *_ = np.linalg.lstsq(ridged[np.abs(lags[:, None] - lags)], cross,
+                            rcond=None)
     return g
 
 

@@ -47,7 +47,13 @@ from spotform.evaluate import (
     prepare_reference,
     si_sdr,
 )
-from spotform.nmf import build_concat, fit_nmf, nmf_wiener, threshold_mask
+from spotform.nmf import (
+    build_concat,
+    check_tau,
+    fit_nmf,
+    nmf_wiener,
+    threshold_mask,
+)
 from spotform.ntf import (
     RegularizationSchedule,
     build_prop_tensor,
@@ -313,8 +319,11 @@ def separate(Y: BfOutputTensor, method: str, k: int, hyper: float, seed: int,
     applies the masked Wiener gain to every array, resynthesizes with
     `Y.config` at length `Y.n_samples`, and fuses by delay-and-sum.  The
     `spotform` command runs this; the sweep runs its two stages, `_fit` and
-    `_extract`, so that rows sharing a fit share it.
+    `_extract`, so that rows sharing a fit share it.  A bad tau is refused
+    before the fit, as a bad mu is by the NTF schedule.
     """
+    if method == "nmf":
+        check_tau(hyper)
     fit = _fit(Y, method, k, hyper, seed, iterations, warmup)
     return _extract(Y, method, fit, hyper)
 

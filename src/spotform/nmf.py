@@ -99,11 +99,16 @@ def fit_nmf(C: ConcatMatrix, K: int, iterations: int = 100,
     return NmfModel(T=model.T, V=model.V, seed=seed)
 
 
+def check_tau(tau: float) -> None:
+    """Refuse a threshold that is not a finite number >= 0."""
+    if not (np.isfinite(tau) and tau >= 0):
+        raise ValueError(f"tau must be finite and nonnegative, got {tau}")
+
+
 def threshold_mask(model: NmfModel, n_arrays: int, n_frames: int,
                    tau: float) -> FrameMask:
     """Keep (frame, basis) cells whose activation exceeds tau in every array."""
-    if not (np.isfinite(tau) and tau >= 0):
-        raise ValueError(f"tau must be finite and nonnegative, got {tau}")
+    check_tau(tau)
     blocks = model.V.reshape(n_arrays, n_frames, model.K)
     return FrameMask(np.all(blocks > tau, axis=0).astype(np.int8))
 

@@ -5,6 +5,7 @@ the explicit zero-padded convolution matrix, and the scale-invariant metric
 against direct energy-ratio arithmetic.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
+from spotform import evaluate
 from spotform.evaluate import (
     SENTINEL_DB,
     AggregateStats,
@@ -213,18 +215,16 @@ class TestFilteredSdr:
 
     def test_prepared_reference_reaches_ridge_and_dense_fallback(
             self, monkeypatch):
-        # with Levinson failing, a prepared (read-only) autocorrelation goes
-        # through the ridge and the dense solve and scores as before
+        # with the predictor's solve failing, a prepared (read-only)
+        # autocorrelation goes through the ridge and the dense solve and
+        # scores as before
         rng = np.random.default_rng(16)
         s = rng.standard_normal(2000)
         e = 0.8 * s + 0.3 * rng.standard_normal(2000)
         prepared = prepare_reference(w(s), 32)
         want = filtered_sdr(w(e), prepared, 32)
 
-        def broken(*args, **kwargs):
-            raise np.linalg.LinAlgError("singular")
-
-        monkeypatch.setattr(scipy.linalg, "solve_toeplitz", broken)
+        monkeypatch.setattr(evaluate, "_try_solve", lambda *args: None)
         with pytest.warns(UserWarning, match="ill-conditioned"):
             got = filtered_sdr(w(e), prepared, 32)
         assert got == pytest.approx(want, abs=1e-6)
@@ -242,15 +242,17 @@ def scipy_fft_prepare(s, taps):
     return size, spectrum, auto
 
 
-def scipy_fft_filtered_sdr(e, s, taps):
-    """filtered_sdr of equal-length e and s, by `scipy.fft` and Levinson."""
+def scipy_fft_filtered_sdr(e, s, taps,
+                           solve=evaluate._solve_normal_equations):
+    """filtered_sdr of equal-length e and s, by `scipy.fft` and `solve`
+    (by default the same normal-equation solve)."""
     import scipy.fft
 
     size, spectrum, auto = scipy_fft_prepare(s, taps)
     cross = scipy.fft.irfft(scipy.fft.rfft(e, size) * np.conj(spectrum),
                             size)[:taps]
     cross[len(s):] = 0.0
-    g = scipy.linalg.solve_toeplitz(auto, cross)
+    g = solve(auto, cross)
     if taps > 1:
         proj = scipy.fft.irfft(spectrum * scipy.fft.rfft(g, size),
                                size)[:len(s)]
@@ -295,6 +297,95 @@ class TestNumpyFftMatchesScipyFft:
         assert_allclose(_toeplitz_product(auto, g),
                         scipy.linalg.matmul_toeplitz(auto, g),
                         rtol=1e-12, atol=1e-12 * np.abs(auto).sum())
+
+
+def speech_like(n, seed):
+    """White noise through seven (1, 1.9, 1) smoothers: a spectrum falling
+    like speech's, whose 512-tap normal equations have condition ~5e6."""
+    x = np.random.default_rng(seed).standard_normal(n)
+    for _ in range(7):
+        x = np.convolve(x, [1.0, 1.9, 1.0], "same")
+    return x
+
+
+class TestPredictorSolve:
+    """The Levinson-Durbin predictor and the Gohberg-Semencul solve give
+    what scipy's Levinson and a dense solve give, on the numpy-vs-scipy grid
+    and on a speech-like reference."""
+
+    CASES = [*TestNumpyFftMatchesScipyFft.CASES, "speech"]
+
+    @staticmethod
+    def signals(case):
+        if case == "speech":
+            s, taps = speech_like(16000, 5), 512
+        else:
+            n, taps = case
+            s = np.random.default_rng(n + taps).standard_normal(n)
+        rng = np.random.default_rng(len(s) + taps + 1)
+        e = 0.7 * np.roll(s, 3) + 0.4 * rng.standard_normal(len(s))
+        return e, s, taps
+
+    @pytest.mark.parametrize("case", CASES, ids=str)
+    def test_filter_matches_scipy_levinson_and_dense_solve(self, case):
+        e, s, taps = self.signals(case)
+        prepared = prepare_reference(w(s), taps)
+        size = prepared.fft_size
+        cross = np.fft.irfft(np.fft.rfft(e, size) * np.conj(prepared.spectrum),
+                             size)[:taps]
+        cross[len(s):] = 0.0
+        dense = scipy.linalg.toeplitz(prepared.auto)
+        if case == "speech":
+            assert 1e6 < np.linalg.cond(dense) < 1e7
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = _solve_normal_equations(prepared.auto, cross,
+                                        prepared.predictor)
+        for want in (scipy.linalg.solve_toeplitz(prepared.auto, cross),
+                     np.linalg.solve(dense, cross)):
+            assert np.linalg.norm(g - want) <= 1e-9 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("case", CASES, ids=str)
+    def test_filtered_sdr_matches_scipy_levinson(self, case):
+        e, s, taps = self.signals(case)
+        want = scipy_fft_filtered_sdr(e, s, taps, scipy.linalg.solve_toeplitz)
+        assert filtered_sdr(w(e), prepare_reference(w(s), taps),
+                            taps) == pytest.approx(want, abs=1e-9)
+
+    def test_predictor_is_the_first_column_of_the_inverse(self):
+        # T a = (e, 0, ..., 0), with a[0] = 1
+        auto = prepare_reference(w(speech_like(4000, 6)), 64).auto
+        a, e = evaluate._levinson_durbin(auto)
+        assert a[0] == 1.0 and e > 0
+        want = np.zeros(64)
+        want[0] = e
+        assert_allclose(scipy.linalg.toeplitz(auto) @ a, want,
+                        atol=1e-9 * auto[0])
+
+    @pytest.mark.parametrize("auto", [[1.0, 1.0, 1.0, 1.0], [1.0, 2.0, 0.5],
+                                      [0.0, 1.0], [np.nan, 1.0]])
+    def test_breakdown_takes_the_ridge(self, auto):
+        # a singular, indefinite or non-finite matrix has a prediction error
+        # that is not a finite number > 0, so its solve goes to the ridge
+        auto = np.array(auto)
+        assert not 0 < evaluate._levinson_durbin(auto)[1] < np.inf
+        assert evaluate._try_solve(auto, np.ones(auto.shape[0]),
+                                   evaluate._levinson_durbin(auto)) is None
+
+    def test_memory_stays_linear_in_taps(self):
+        # one filtered_sdr at 8192 taps: a dense taps x taps factor alone
+        # would be 512 MB
+        rng = np.random.default_rng(22)
+        s = rng.standard_normal(20000)
+        e = 0.5 * s + rng.standard_normal(20000)
+        tracemalloc.start()
+        try:
+            got = filtered_sdr(w(e), w(s), 8192)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(got)
+        assert peak < 32 * 2**20
 
 
 @pytest.mark.parametrize("metric", [si_sdr, filtered_sdr])

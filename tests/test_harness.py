@@ -331,6 +331,15 @@ class TestSeparate:
             assert (np.linalg.norm(got.samples - want)
                     <= 1e-9 * np.linalg.norm(want))
 
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -1.0])
+    def test_bad_tau_refused_before_the_fit(self, state, tau, monkeypatch):
+        def no_fit(*args):
+            raise AssertionError("fit_nmf called")
+
+        monkeypatch.setattr(harness, "fit_nmf", no_fit)
+        with pytest.raises(ValueError, match="tau"):
+            separate(state.bf_tensor, "nmf", 4, tau, 0, 12, 6)
+
 
 class TestRunExperiment:
     def test_row_count_matches_grid(self, small_cfg, experiment):
@@ -456,6 +465,24 @@ class TestRunExperiment:
         cfg = replace(tau_cfg, methods=("bf-only", "nmf"), out_dir=str(tmp_path))
         rows, _ = run_experiment(cfg)
         # bf-only scores against both arrays' references, nmf against array 0
+        assert len(rows) == 10 and all(r.status == "ok" for r in rows)
+        assert calls == [cfg.filter_taps] * cfg.scene.n_arrays
+
+    def test_each_predictor_built_once_per_sweep(self, tau_cfg, tmp_path,
+                                                 monkeypatch):
+        # the Levinson-Durbin predictor depends on the reference alone, so
+        # an inline sweep builds it on the first row scored against each
+        # reference and reuses it for the rest
+        calls = []
+        durbin = evaluate._levinson_durbin
+
+        def counting_durbin(auto):
+            calls.append(auto.shape[0])
+            return durbin(auto)
+
+        monkeypatch.setattr(evaluate, "_levinson_durbin", counting_durbin)
+        cfg = replace(tau_cfg, methods=("bf-only", "nmf"), out_dir=str(tmp_path))
+        rows, _ = run_experiment(cfg)
         assert len(rows) == 10 and all(r.status == "ok" for r in rows)
         assert calls == [cfg.filter_taps] * cfg.scene.n_arrays
 
@@ -911,6 +938,15 @@ class TestCli:
         assert str(exc.value.code).startswith("spotform: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("taps", [0, -3])
+    def test_eval_rejects_bad_taps_before_reading(self, tmp_path, taps):
+        # the flag is checked first, so the missing WAVs are never opened
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", str(tmp_path / "missing_est.wav"),
+                  str(tmp_path / "missing_ref.wav"), "--taps", str(taps)])
+        assert str(exc.value.code) == (
+            f"spotform: --taps must be >= 1, got {taps}")
+
     def test_spotform_does_not_import_scipy_signal(self, sources, tmp_path):
         # importing scipy costs most of a short run's time and `spotform`
         # needs none of it, so a cold run of the command must load no scipy
@@ -967,29 +1003,40 @@ class TestCli:
         assert (tmp_path / "run" / "results.csv").exists()
         assert (tmp_path / "sim" / "rirs.npz").exists()
 
-    def test_prepared_pipeline_has_scipy_scoring_loaded(self, small_cfg):
-        # the sweep prepares in its parent before the pool forks, so workers
-        # inherit scipy.linalg, which solves the scoring's normal equations,
-        # instead of each importing it; the FFTs are numpy's, so scipy.fft
-        # stays out
+    def test_scoring_loads_no_scipy(self, small_cfg, sources, tmp_path):
+        # the normal equations are solved on numpy, so preparing the
+        # references, scoring, an inline sweep and `spotform eval` load no
+        # scipy module, nor does a pool worker forked after the preparing
+        cfg = replace(small_cfg, workers=1, out_dir=str(tmp_path / "run"))
         script = (
             "import sys\n"
             "import numpy as np\n"
-            "from spotform.evaluate import prepare_reference\n"
-            "from spotform.harness import ExperimentConfig, prepare_pipeline\n"
+            "from spotform.cli import main\n"
+            "from spotform.evaluate import filtered_sdr\n"
+            "from spotform.harness import (ExperimentConfig, prepare_pipeline,\n"
+            "                              run_experiment)\n"
             "from spotform.signal import Waveform\n"
-            "assert 'scipy.linalg' not in sys.modules\n"
-            "prepare_reference(Waveform(np.ones(8), 16000), 4)\n"
-            "assert 'scipy.linalg' in sys.modules\n"
-            f"cfg = ExperimentConfig.from_dict({small_cfg.to_dict()!r})\n"
-            "prepare_pipeline(cfg)\n"
-            "assert 'scipy.linalg' in sys.modules\n"
-            "assert 'scipy.fft' not in sys.modules\n"
+            "def scipy_loaded():\n"
+            "    return [m for m in sys.modules\n"
+            "            if m == 'scipy' or m.startswith('scipy.')]\n"
+            f"cfg = ExperimentConfig.from_dict({cfg.to_dict()!r})\n"
+            "state = prepare_pipeline(cfg)\n"
+            "assert not scipy_loaded(), scipy_loaded()\n"
+            "x = np.random.default_rng(0).standard_normal(4000)\n"
+            "filtered_sdr(Waveform(x, 16000), state.prepared[0], "
+            "cfg.filter_taps)\n"
+            "filtered_sdr(Waveform(x, 16000), Waveform(x[::-1], 16000), 64)\n"
+            "assert not scipy_loaded(), scipy_loaded()\n"
+            "run_experiment(cfg)\n"
+            "assert not scipy_loaded(), scipy_loaded()\n"
+            f"assert main(['eval', {sources[0]!r}, {sources[1]!r}]) == 0\n"
+            "assert not scipy_loaded(), scipy_loaded()\n"
         )
         src = str(Path(spotform.__file__).parents[1])
         subprocess.run([sys.executable, "-c", script], check=True,
                        env=dict(os.environ, PYTHONPATH=src),
                        timeout=120)
+        assert (tmp_path / "run" / "results.csv").exists()
 
     def test_run_from_config_file(self, small_cfg, tmp_path, capsys):
         cfg = replace(small_cfg, methods=("bf-only",), n_seeds=1,
