@@ -1,10 +1,11 @@
 """Experiment orchestration: pipeline wiring, sweeps, and CSV emission.
 
 One experiment = one scene, one set of dry sources, and a grid of
-(method, K, threshold-or-weight) combinations, each repeated over several
-seeds.  The pipeline per run is simulate -> beamform -> factorize -> mask ->
-reconstruct -> fuse -> score; the simulation and beamforming stages are
-shared across the sweep because only the factorization stage is seeded.
+(method, K, threshold-or-weight) combinations, the nmf and ntf ones each
+repeated over several seeds.  The pipeline per run is simulate -> beamform
+-> factorize -> mask -> reconstruct -> fuse -> score; the simulation and
+beamforming stages are shared across the sweep because only the
+factorization stage is seeded.
 
 The seed-dependent stages live in `separate`, which the `spotform` command
 also runs on its own beamformer WAVs.  It is a fit followed by a per-hyper
@@ -27,10 +28,8 @@ import csv
 import hashlib
 import itertools
 import json
-import math
 import signal
 import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
@@ -73,13 +72,8 @@ from spotform.signal import (
 )
 
 METHODS = ("bf-only", "nmf", "ntf")
-RESULTS_SCHEMA = "spotform/results/v2"
-SUMMARY_SCHEMA = "spotform/summary/v1"
-
-RESULT_FIELDS = (
-    "method", "n_arrays", "t60", "k", "tau_or_mu", "seed",
-    "sdr_filtered_db", "sdr_si_db", "runtime_ms", "status", "reason",
-)
+RESULTS_SCHEMA = "spotform/results/v3"
+SUMMARY_SCHEMA = "spotform/summary/v2"
 
 
 # what a field of each scalar type is called and which JSON values it takes
@@ -175,10 +169,7 @@ class ExperimentConfig:
                 raise ValueError(f"unknown method {m!r}")
         if self.n_seeds < 1:
             raise ValueError("n_seeds must be >= 1")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if not 0 <= self.warmup_iterations <= self.iterations:
-            raise ValueError("warmup must lie within the iteration count")
+        RegularizationSchedule(0.0, self.warmup_iterations, self.iterations)
         needs_k = {"nmf", "ntf"} & set(self.methods)
         if needs_k and not self.k_grid:
             raise ValueError("K grid is empty but nmf/ntf selected")
@@ -188,11 +179,10 @@ class ExperimentConfig:
             raise ValueError("mu grid is empty but ntf selected")
         if any(k < 1 for k in self.k_grid):
             raise ValueError("K must be >= 1")
-        # NaN fails both comparisons; json reads NaN and Infinity
-        if not all(0 <= t < math.inf for t in self.tau_grid):
-            raise ValueError("tau must be finite and >= 0")
-        if not all(0 <= m < math.inf for m in self.mu_grid):
-            raise ValueError("mu must be finite and >= 0")
+        for t in self.tau_grid:
+            check_tau(t)
+        for m in self.mu_grid:
+            RegularizationSchedule(m)
         if self.filter_taps < 1:
             raise ValueError("filter_taps must be >= 1")
         if self.workers < 1:
@@ -319,11 +309,13 @@ def separate(Y: BfOutputTensor, method: str, k: int, hyper: float, seed: int,
     applies the masked Wiener gain to every array, resynthesizes with
     `Y.config` at length `Y.n_samples`, and fuses by delay-and-sum.  The
     `spotform` command runs this; the sweep runs its two stages, `_fit` and
-    `_extract`, so that rows sharing a fit share it.  A bad tau is refused
-    before the fit, as a bad mu is by the NTF schedule.
+    `_extract`, so that rows sharing a fit share it.  A bad tau or iteration
+    count is refused before the fit, as a bad mu or warmup is by the NTF
+    schedule that `_fit` builds first.
     """
     if method == "nmf":
         check_tau(hyper)
+        RegularizationSchedule(0.0, 0, iterations)
     fit = _fit(Y, method, k, hyper, seed, iterations, warmup)
     return _extract(Y, method, fit, hyper)
 
@@ -371,31 +363,29 @@ def _run_task(cfg: ExperimentConfig, state: PipelineState,
     fused = None
     start = time.perf_counter()
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            if method == "bf-only":
-                if not (float(hyper).is_integer()
-                        and 0 <= hyper < cfg.scene.n_arrays):
-                    raise ValueError(
-                        f"bf-only hyper must be an array index, got {hyper}")
-                fused = state.bf_waves[int(hyper)]
-                waves, reference = [fused], state.prepared[int(hyper)]
-            else:
-                key = _fit_key(method, k, hyper, seed_index)
-                if key not in fits:
-                    seed = derive_seed(cfg.master_seed, method, k, hyper,
-                                       seed_index)
-                    try:
-                        fits[key] = _fit(state.bf_tensor, method, k, hyper, seed,
-                                         cfg.iterations, cfg.warmup_iterations)
-                    except Exception as exc:  # noqa: BLE001 - reraised for every row
-                        fits[key] = exc
-                if isinstance(fits[key], Exception):
-                    raise fits[key]
-                waves, fused = _extract(state.bf_tensor, method, fits[key], hyper)
-                reference = state.prepared[0]
-            f_db = filtered_sdr(fused, reference, cfg.filter_taps)
-            s_db = si_sdr(fused, reference.waveform)
+        if method == "bf-only":
+            if not (float(hyper).is_integer()
+                    and 0 <= hyper < cfg.scene.n_arrays):
+                raise ValueError(
+                    f"bf-only hyper must be an array index, got {hyper}")
+            fused = state.bf_waves[int(hyper)]
+            waves, reference = [fused], state.prepared[int(hyper)]
+        else:
+            key = _fit_key(method, k, hyper, seed_index)
+            if key not in fits:
+                seed = derive_seed(cfg.master_seed, method, k, hyper,
+                                   seed_index)
+                try:
+                    fits[key] = _fit(state.bf_tensor, method, k, hyper, seed,
+                                     cfg.iterations, cfg.warmup_iterations)
+                except Exception as exc:  # noqa: BLE001 - reraised for every row
+                    fits[key] = exc
+            if isinstance(fits[key], Exception):
+                raise fits[key]
+            waves, fused = _extract(state.bf_tensor, method, fits[key], hyper)
+            reference = state.prepared[0]
+        f_db = filtered_sdr(fused, reference, cfg.filter_taps)
+        s_db = si_sdr(fused, reference.waveform)
         status, reason = "ok", ""
     except Exception as exc:  # noqa: BLE001 - row-level fault isolation
         f_db = s_db = float("nan")
@@ -433,14 +423,14 @@ def run_single(cfg: ExperimentConfig, method: str, k: int, hyper: float,
 def enumerate_tasks(cfg: ExperimentConfig) -> list[tuple[str, int, float, int]]:
     """Sweep grid in deterministic order; bf-only sweeps the array index.
 
+    A bf-only row depends on no seed, so each array gets one, at seed 0.
     Rows that share a fit are adjacent: nmf sweeps tau innermost.
     """
     tasks = []
     for method in cfg.methods:
         if method == "bf-only":
-            tasks += [(method, 0, float(a), s)
-                      for a in range(cfg.scene.n_arrays)
-                      for s in range(cfg.n_seeds)]
+            tasks += [(method, 0, float(a), 0)
+                      for a in range(cfg.scene.n_arrays)]
         elif method == "nmf":
             tasks += [(method, k, float(t), s) for k in cfg.k_grid
                       for s in range(cfg.n_seeds) for t in cfg.tau_grid]
@@ -566,7 +556,7 @@ def write_results_csv(path, rows: list[ResultRow]) -> None:
     with open(path, "w", newline="") as f:
         f.write(f"# schema: {RESULTS_SCHEMA}\n")
         w = csv.writer(f)
-        w.writerow(RESULT_FIELDS)
+        w.writerow([f.name for f in fields(ResultRow)])
         for r in rows:
             w.writerow([
                 r.method, r.n_arrays, f"{r.t60:g}", r.k, f"{r.tau_or_mu:.9g}",
@@ -605,6 +595,7 @@ def _write_manifest(path, cfg: ExperimentConfig, rows: list[ResultRow]) -> None:
         "config": cfg.to_dict(),
         "schemas": {"results": RESULTS_SCHEMA, "summary": SUMMARY_SCHEMA},
         "seed_scheme": {
+            "bf-only": "no seed; one row per array, at seed 0",
             "nmf": "first 8 bytes, little-endian, of "
                    "sha256(f'{master}|nmf|{K}|{seed index}'); one fit serves "
                    "every tau",

@@ -107,6 +107,8 @@ class RegularizationSchedule:
     def __post_init__(self):
         if not (np.isfinite(self.mu) and self.mu >= 0):
             raise ValueError(f"mu must be finite and nonnegative, got {self.mu}")
+        if self.total_iterations < 1:
+            raise ValueError("iterations must be >= 1")
         if not 0 <= self.warmup_iterations <= self.total_iterations:
             raise ValueError("warmup must lie within the total iteration count")
 

@@ -11,6 +11,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -143,6 +144,10 @@ class TestConfig:
             ExperimentConfig(scene=default_scene(2, 0.0),
                              source_paths=sources, iterations=5,
                              warmup_iterations=6)
+        with pytest.raises(ValueError, match="iterations must be >= 1"):
+            ExperimentConfig(scene=default_scene(2, 0.0),
+                             source_paths=sources, iterations=0,
+                             warmup_iterations=0)
 
     def test_filter_taps_below_one_rejected(self, small_cfg):
         # rejected before any fit, not at the scoring of every row
@@ -237,9 +242,9 @@ class TestSeeding:
 class TestEnumerateTasks:
     def test_counts(self, small_cfg):
         tasks = enumerate_tasks(small_cfg)
-        # bf-only: 2 arrays x 2 seeds; nmf: 1 K x 1 tau x 2; ntf: 1 x 1 x 2
-        assert len(tasks) == 4 + 2 + 2
-        assert sum(t[0] == "bf-only" for t in tasks) == 4
+        # bf-only: 1 per array; nmf: 1 K x 1 tau x 2 seeds; ntf: 1 x 1 x 2
+        assert len(tasks) == 2 + 2 + 2
+        assert sum(t[0] == "bf-only" for t in tasks) == 2
 
     def test_order_is_stable(self, small_cfg):
         assert enumerate_tasks(small_cfg) == enumerate_tasks(small_cfg)
@@ -298,6 +303,22 @@ class TestRunSingle:
             np.testing.assert_array_equal(got.samples, want.samples)
         np.testing.assert_array_equal(fused.samples, want_fused.samples)
 
+    def test_nmf_row_warnings_follow_the_active_filters(self, small_cfg,
+                                                        state):
+        # no activation exceeds this tau, so the mask keeps nothing
+        task = ("nmf", 4, 1e9, 0)
+        with pytest.warns(UserWarning) as record:
+            row, _, _ = _run_task(small_cfg, state, task)
+        assert row.status == "ok"
+        assert str(record[0].message) == (
+            "no basis kept for the target class; output is zero")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            row, _, _ = _run_task(small_cfg, state, task)
+        assert row.status == "failed"
+        assert row.reason.startswith("UserWarning: no basis kept")
+        assert np.isnan(row.sdr_filtered_db)
+
     @pytest.mark.parametrize("hyper", [9.0, 0.5])
     def test_bad_array_index_marks_row_failed(self, small_cfg, state, hyper):
         paths, row = run_single(small_cfg, "bf-only", 0, hyper, 0, state=state)
@@ -340,6 +361,18 @@ class TestSeparate:
         with pytest.raises(ValueError, match="tau"):
             separate(state.bf_tensor, "nmf", 4, tau, 0, 12, 6)
 
+    @pytest.mark.parametrize("method, hyper", [("nmf", 0.05), ("ntf", 10.0)])
+    def test_no_iterations_refused_before_the_fit(self, state, method, hyper,
+                                                  monkeypatch):
+        # zero steps would return the estimate of the unfitted random start
+        def no_fit(*args):
+            raise AssertionError("fit called")
+
+        monkeypatch.setattr(harness, "fit_nmf", no_fit)
+        monkeypatch.setattr(harness, "fit_ntf", no_fit)
+        with pytest.raises(ValueError, match="iterations"):
+            separate(state.bf_tensor, method, 4, hyper, 0, 0, 0)
+
 
 class TestRunExperiment:
     def test_row_count_matches_grid(self, small_cfg, experiment):
@@ -361,7 +394,7 @@ class TestRunExperiment:
 
     def test_results_csv_schema(self, small_cfg, experiment):
         lines = (Path(small_cfg.out_dir) / "results.csv").read_text().splitlines()
-        assert lines[0] == "# schema: spotform/results/v2"
+        assert lines[0] == "# schema: spotform/results/v3"
         header = lines[1].split(",")
         assert header[:6] == ["method", "n_arrays", "t60", "k", "tau_or_mu",
                               "seed"]
@@ -389,6 +422,25 @@ class TestRunExperiment:
         assert doc["config"] == small_cfg.to_dict()
         assert doc["n_rows"] == len(experiment[0])
         assert doc["n_failed"] == 0
+
+    def test_one_bf_only_row_per_array(self, small_cfg, state, tmp_path):
+        cfg = replace(small_cfg, methods=("bf-only",), n_seeds=3,
+                      out_dir=str(tmp_path))
+        rows, stats = run_experiment(cfg)
+        assert [(r.tau_or_mu, r.seed) for r in rows] == [(0.0, 0), (1.0, 0)]
+        assert all(stats[("bf-only", variant, 0, r.tau_or_mu)].n == 1
+                   for r in rows for variant in ("filtered-sdr", "si-sdr"))
+        summary = (tmp_path / "summary.csv").read_text().splitlines()
+        assert summary[0] == "# schema: spotform/summary/v2"
+        assert [line.split(",")[4] for line in summary[2:]] == ["1"] * 4
+        # the row is the same whatever seed index it is asked for
+        for want in rows:
+            for s in range(cfg.n_seeds):
+                _, row = run_single(cfg, "bf-only", 0, want.tau_or_mu, s,
+                                    state=state)
+                assert row.status == want.status == "ok"
+                assert row.sdr_filtered_db == want.sdr_filtered_db
+                assert row.sdr_si_db == want.sdr_si_db
 
     def test_worker_pool_matches_inline(self, small_cfg, tmp_path):
         cfg = replace(small_cfg, methods=("bf-only", "ntf"), n_seeds=1,
@@ -465,7 +517,7 @@ class TestRunExperiment:
         cfg = replace(tau_cfg, methods=("bf-only", "nmf"), out_dir=str(tmp_path))
         rows, _ = run_experiment(cfg)
         # bf-only scores against both arrays' references, nmf against array 0
-        assert len(rows) == 10 and all(r.status == "ok" for r in rows)
+        assert len(rows) == 8 and all(r.status == "ok" for r in rows)
         assert calls == [cfg.filter_taps] * cfg.scene.n_arrays
 
     def test_each_predictor_built_once_per_sweep(self, tau_cfg, tmp_path,
@@ -483,7 +535,7 @@ class TestRunExperiment:
         monkeypatch.setattr(evaluate, "_levinson_durbin", counting_durbin)
         cfg = replace(tau_cfg, methods=("bf-only", "nmf"), out_dir=str(tmp_path))
         rows, _ = run_experiment(cfg)
-        assert len(rows) == 10 and all(r.status == "ok" for r in rows)
+        assert len(rows) == 8 and all(r.status == "ok" for r in rows)
         assert calls == [cfg.filter_taps] * cfg.scene.n_arrays
 
     def test_prepared_references_own_their_samples(self, small_cfg, state):
@@ -1045,6 +1097,21 @@ class TestCli:
         cfg.save(cfg_path)
         assert main(["run", "--config", str(cfg_path)]) == 0
         assert (tmp_path / "cli_out" / "results.csv").exists()
+
+    @pytest.mark.filterwarnings("default::UserWarning")
+    def test_run_prints_a_row_warning_and_still_succeeds(self, small_cfg,
+                                                          tmp_path, capsys):
+        # the 1.2 s sources and their room's tail fill 77 frames at a 16 ms
+        # hop, fewer than K
+        cfg = replace(small_cfg, methods=("ntf",), k_grid=(80,),
+                      mu_grid=(0.0,), n_seeds=1, iterations=4,
+                      warmup_iterations=2, workers=1,
+                      out_dir=str(tmp_path / "run"))
+        cfg_path = tmp_path / "exp.json"
+        cfg.save(cfg_path)
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "spotform: warning: K=80 exceeds min(A*I, J)=77; proceeding"]
 
     def test_run_rejects_bad_pool_settings_with_message(self, small_cfg,
                                                         tmp_path):

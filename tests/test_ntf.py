@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -252,6 +252,41 @@ class TestAssignAttractors:
             assert out.h[k] == (1 if expect == 0 else 0)
 
 
+# the column (x, rest split evenly) goes to the target iff x lies in (low,
+# high): at A = 2 iff x/(1 - x) and (1 - x)/x are below 4, and at A = 3, for
+# x >= 1/3 (the uniform column), iff 2x/(1 - x) < 3^(3/2)
+X3 = math.sqrt(27 / 4) / (1 + math.sqrt(27 / 4))
+TARGET_RANGE = {2: (0.2, 0.8), 3: (1 / 3, X3)}
+
+
+def _split_column(A: int, x: float) -> np.ndarray:
+    return np.array([[x]] + [[(1 - x) / (A - 1)]] * (A - 1))
+
+
+def _picks_target(A: int, x: float) -> bool:
+    return assign_attractors(_split_column(A, x), build_attractors(A)).h[0] == 1
+
+
+class TestTargetBoundary:
+    def test_three_array_bound(self):
+        assert X3 == pytest.approx(0.722074, abs=1e-6)
+
+    @pytest.mark.parametrize("A, bound, inward", [
+        (2, 0.2, 1.0), (2, 0.8, -1.0), (3, X3, -1.0)])
+    def test_pick_flips_at_the_bound(self, A, bound, inward):
+        assert _picks_target(A, bound + 1e-6 * inward)
+        assert not _picks_target(A, bound - 1e-6 * inward)
+
+    @settings(deadline=None, max_examples=200)
+    @given(A=st.sampled_from([2, 3]), u=st.floats(0.0, 1.0))
+    def test_target_iff_inside_the_range(self, A, u):
+        low, high = TARGET_RANGE[A]
+        x = u if A == 2 else low + (1.0 - low) * u
+        # float64 cannot decide a column on the bound itself
+        assume(min(abs(x - low), abs(x - high)) > 1e-9)
+        assert _picks_target(A, x) == (low < x < high)
+
+
 class TestUpdateStep:
     def test_matches_loop_reference(self):
         rng = np.random.default_rng(3)
@@ -460,6 +495,12 @@ class TestSchedule:
         with pytest.raises(ValueError, match="warmup"):
             RegularizationSchedule(mu=1.0, warmup_iterations=5,
                                    total_iterations=3)
+
+    def test_rejects_zero_total(self):
+        # zero steps would leave the seeded random start as the fit
+        with pytest.raises(ValueError, match="iterations must be >= 1"):
+            RegularizationSchedule(mu=1.0, warmup_iterations=0,
+                                   total_iterations=0)
 
 
 def test_single_array_reduces_to_nmf():
