@@ -14,7 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from spotform.roomsim import ObservationTensor, RirSet, Scene
-from spotform.signal import StftConfig, Waveform, next_fast_len, stft
+from spotform.signal import (
+    StftConfig,
+    Waveform,
+    frame_count,
+    next_fast_len,
+    stft,
+)
 
 DIAGONAL_LOADING = 1e-3
 _COND_LIMIT = 1e12
@@ -96,16 +102,22 @@ def mvdr_weights(d: SteeringSet, R: NoiseCovarianceSet) -> np.ndarray:
 
 def mvdr(X: ObservationTensor, d: SteeringSet,
          R: NoiseCovarianceSet) -> BfOutputTensor:
-    """Beamform every array's mixture mics down to one spectrogram per array."""
+    """Beamform every array's mixture mics down to one spectrogram per array.
+
+    The arrays are transformed one at a time, so only one array's STFT is
+    held beside the output.
+    """
     w = mvdr_weights(d, R)
     A, M, L = X.mixture.shape
     cfg = d.config
     if w.shape[0] != A or w.shape[2] != M or X.sample_rate != cfg.sample_rate:
         raise ValueError("weights or STFT rate do not match the observations")
-    S = stft(X.mixture, cfg).values  # (A, M, I, J)
-    Y = np.zeros((A, cfg.n_bins, S.shape[-1]), dtype=np.complex128)
-    for m in range(M):  # in mic order: a reordered sum rounds differently
-        Y += w[:, :, m].conj()[:, :, None] * S[:, m]
+    Y = np.zeros((A, cfg.n_bins, frame_count(L, cfg)), dtype=np.complex128)
+    for a in range(A):
+        S = stft(X.mixture[a], cfg).values  # (M, I, J)
+        for m in range(M):  # in mic order: a reordered sum rounds differently
+            Y[a] += w[a, :, m].conj()[:, None] * S[m]
+        del S  # freed before the next array's STFT
     return BfOutputTensor(Y, cfg, L)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -72,7 +73,9 @@ class PreparedReference:
     convolution below is linear (no wrap-around).  `auto` holds the
     autocorrelation lags 0..filter_taps-1.  Made by `prepare_reference`.
     `predictor` is the Levinson-Durbin predictor of `auto`, built by the
-    first solve against this reference and kept for the rest.
+    first solve against this reference and kept for the rest; `ridged` is
+    the ridged system with its predictor, built by the first solve that
+    needs the ridge and kept likewise.
     """
 
     waveform: Waveform
@@ -84,6 +87,10 @@ class PreparedReference:
     @cached_property
     def predictor(self) -> tuple[np.ndarray, float]:
         return _levinson_durbin(self.auto)
+
+    @cached_property
+    def ridged(self) -> tuple[np.ndarray, tuple[np.ndarray, float]]:
+        return _ridged_system(self.auto)
 
 
 def prepare_reference(reference: Waveform, filter_taps: int
@@ -149,7 +156,8 @@ def filtered_sdr(estimate: Waveform,
                          size)[:filter_taps]
     cross[n:] = 0.0
 
-    g = _solve_normal_equations(prepared.auto, cross, prepared.predictor)
+    g = _solve_normal_equations(prepared.auto, cross, prepared.predictor,
+                                lambda: prepared.ridged)
     if filter_taps > 1:
         proj = np.fft.irfft(spectrum * np.fft.rfft(g, size), size)[:n]
     else:
@@ -216,20 +224,33 @@ def _try_solve(auto: np.ndarray, cross: np.ndarray,
     return g
 
 
-def _solve_normal_equations(auto: np.ndarray, cross: np.ndarray,
-                            predictor: tuple[np.ndarray, float] | None = None
-                            ) -> np.ndarray:
+def _ridged_system(auto: np.ndarray
+                   ) -> tuple[np.ndarray, tuple[np.ndarray, float]]:
+    """`auto` with a small ridge on lag 0, and its Levinson-Durbin predictor."""
+    ridged = auto.copy()
+    ridged[0] += RIDGE_FACTOR * auto.shape[0] * auto[0]
+    ridged.flags.writeable = False
+    return ridged, _levinson_durbin(ridged)
+
+
+def _solve_normal_equations(
+        auto: np.ndarray, cross: np.ndarray,
+        predictor: tuple[np.ndarray, float] | None = None,
+        ridged: Callable[[], tuple[np.ndarray, tuple[np.ndarray, float]]]
+        | None = None) -> np.ndarray:
     """g with T g = cross, T the symmetric Toeplitz matrix with first column
-    `auto`; `predictor` is `_levinson_durbin(auto)`, built here if None."""
+    `auto`; `predictor` is `_levinson_durbin(auto)`, built here if None, and
+    `ridged` returns `_ridged_system(auto)`, called only when the ridge is
+    needed and built here if None."""
     if predictor is None:
         predictor = _levinson_durbin(auto)
     g = _try_solve(auto, cross, predictor)
     if g is not None:
         return g
     warnings.warn("ill-conditioned normal equations; adding ridge")
-    ridged = auto.copy()
-    ridged[0] += RIDGE_FACTOR * auto.shape[0] * auto[0]
-    g = _try_solve(ridged, cross, _levinson_durbin(ridged))
+    ridged, ridged_predictor = (ridged() if ridged is not None
+                                else _ridged_system(auto))
+    g = _try_solve(ridged, cross, ridged_predictor)
     if g is not None:
         return g
     # the recursion can break even on the ridged system; fall back to dense LS

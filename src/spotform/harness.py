@@ -30,7 +30,6 @@ import itertools
 import json
 import signal
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -402,14 +401,17 @@ def run_single(cfg: ExperimentConfig, method: str, k: int, hyper: float,
     """Run one combination and write its estimate WAVs.
 
     Emits one WAV per array plus the fused output, named after the run, and
-    returns their paths with the scored row.
+    returns their paths with the scored row.  A bf-only run depends on no
+    seed, so its directory names none.
     """
     if state is None:
         state = prepare_pipeline(cfg)
     row, waves, fused = _run_task(cfg, state, (method, k, hyper, seed_index))
     paths: list[Path] = []
     if row.status == "ok":
-        tag = f"{method}_K{k}_h{hyper:g}_s{seed_index}"
+        tag = f"{method}_K{k}_h{hyper:g}"
+        if method != "bf-only":
+            tag += f"_s{seed_index}"
         d = Path(cfg.out_dir) / "wavs" / tag
         d.mkdir(parents=True, exist_ok=True)
         for a, w in enumerate(waves):
@@ -522,6 +524,9 @@ def run_experiment(cfg: ExperimentConfig
     if cfg.workers == 1:
         done = [_run_group(cfg, state, g) for g in groups]
     else:
+        # loaded here: inline sweeps and the other commands never need it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.workers,
                                  initializer=_init_worker,
                                  initargs=(cfg, state)) as pool:

@@ -305,6 +305,8 @@ def render_observations(sources: list[Waveform], rirs: RirSet) -> ObservationTen
     `scipy.signal.fftconvolve` does it, at its FFT size and in its operand
     order, with each source transformed once for all its RIRs.  numpy's FFT
     (numpy >= 2) rounds as scipy's does, so the samples match it bit for bit.
+    Beside the outputs, only one source's RIR spectra and one channel's
+    inverse transform are held at a time.
     """
     scene = rirs.scene
     if len(sources) != scene.n_sources:
@@ -327,10 +329,18 @@ def render_observations(sources: list[Waveform], rirs: RirSet) -> ObservationTen
         responses = np.fft.rfft(rirs.taps[:, :, s_idx], size, axis=-1)
         # source times RIR, fftconvolve's order: numpy's complex product
         # may round its imaginary part differently with the operands swapped
-        images[s_idx, :, :, :length] = np.fft.irfft(
-            spectrum * responses, size, axis=-1)[..., :length]
+        np.multiply(spectrum, responses, out=responses)
+        channel = np.empty(size)
+        for a, m in np.ndindex(A, M):
+            np.fft.irfft(responses[a, m], size, out=channel)
+            images[s_idx, a, m, :length] = channel[:length]
+        del responses  # freed before the next source's spectra
+    # summed in source order, as images.sum(axis=0) does it
+    mixture = images[0].copy()
+    for image in images[1:]:
+        mixture += image
     return ObservationTensor(
-        mixture=images.sum(axis=0), images=images,
+        mixture=mixture, images=images,
         sample_rate=rirs.sample_rate, scene=scene,
     )
 

@@ -5,6 +5,7 @@ covariances; steering checks use direct DTFT sums over the RIR taps.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -264,6 +265,57 @@ class TestMvdrOnRenderedAudio:
         assert Y.values.shape == (1, CFG.n_bins, J)
         assert Y.values.flags.c_contiguous
         assert Y.n_samples == obs.n_samples
+
+
+def all_array_mvdr(obs, d, R):
+    """mvdr by its formula over every array at once: the STFT of every
+    channel in one transform, then the mic-ordered weighted sum."""
+    w = mvdr_weights(d, R)
+    S = stft(obs.mixture, d.config).values  # (A, M, I, J)
+    Y = np.zeros((S.shape[0], *S.shape[2:]), dtype=np.complex128)
+    for m in range(S.shape[1]):
+        Y += w[:, :, m].conj()[:, :, None] * S[:, m]
+    return Y
+
+
+def rendered_scene(n_arrays, t60, seed):
+    sc = default_scene(n_arrays, t60)
+    rs = simulate_rirs(sc)
+    rng = np.random.default_rng(seed)
+    srcs = [Waveform(rng.standard_normal(16000), FS)
+            for _ in range(sc.n_sources)]
+    obs = render_observations(srcs, rs)
+    d, R = oracle_quantities(rs, sc, CFG)
+    return obs, d, R
+
+
+class TestMvdrPerArray:
+    @pytest.mark.parametrize("t60", [0.0, 0.3])
+    @pytest.mark.parametrize("n_arrays", [2, 3])
+    def test_matches_all_array_formula_bit_for_bit(self, n_arrays, t60):
+        obs, d, R = rendered_scene(n_arrays, t60, seed=n_arrays)
+        np.testing.assert_array_equal(mvdr(obs, d, R).values,
+                                      all_array_mvdr(obs, d, R))
+
+    @pytest.mark.parametrize("n_arrays", [2, 3])
+    def test_holds_one_array_stft_at_a_time(self, n_arrays):
+        # beside its output, mvdr holds one array's STFT: its windowed
+        # frames and their spectra.  Slack: one mic's weighted term, two
+        # (A, I, M, M) arrays for the per-bin weights and their solve, and
+        # 64 KiB for Python objects.  Transforming every array at once
+        # would hold all A arrays' frames and spectra.
+        obs, d, R = rendered_scene(n_arrays, 0.3, seed=7)
+        A, M, L = obs.mixture.shape
+        I, J = CFG.n_bins, math.ceil(L / CFG.hop)
+        one_array = M * J * CFG.window_length * 8 + M * I * J * 16
+        slack = I * J * 16 + 2 * A * I * M * M * 16 + 2**16
+        tracemalloc.start()
+        try:
+            Y = mvdr(obs, d, R)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - Y.values.nbytes <= one_array + slack
 
 
 class TestDelayAndSum:

@@ -208,6 +208,29 @@ class TestFilteredSdr:
             got = filtered_sdr(w(e), w(s), 512)
         assert np.isfinite(got)
 
+    def test_prepared_reference_builds_its_ridge_once(self, monkeypatch):
+        # the smooth pulse above needs the ridge on every solve; a prepared
+        # reference keeps the ridged predictor, so a second score against
+        # it runs no Levinson-Durbin recursion and scores the same
+        s = np.zeros(4096)
+        s[:200] = np.hanning(200) ** 8
+        e = s + 0.1 * np.random.default_rng(17).standard_normal(4096)
+        prepared = prepare_reference(w(s), 512)
+        calls = []
+        levinson_durbin = evaluate._levinson_durbin
+        monkeypatch.setattr(
+            evaluate, "_levinson_durbin",
+            lambda auto: calls.append(1) or levinson_durbin(auto))
+        scores = []
+        for _ in range(2):
+            with pytest.warns(UserWarning, match="ill-conditioned") as record:
+                scores.append(filtered_sdr(w(e), prepared, 512))
+            assert len(record) == 1
+            # the plain predictor and the ridged one, both on the first call
+            assert len(calls) == 2
+        assert np.isfinite(scores[0])
+        assert scores[1] == scores[0]
+
     def test_singular_normal_equations_warn_and_ridge(self):
         with pytest.warns(UserWarning, match="ill-conditioned"):
             g = _solve_normal_equations(np.ones(4), np.array([1.0, 2.0, 3.0, 4.0]))

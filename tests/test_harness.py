@@ -319,6 +319,19 @@ class TestRunSingle:
         assert row.reason.startswith("UserWarning: no basis kept")
         assert np.isnan(row.sdr_filtered_db)
 
+    def test_bf_only_wavs_name_no_seed(self, small_cfg, state, tmp_path):
+        # a bf-only run depends on no seed, so every seed index writes the
+        # same directory
+        cfg = replace(small_cfg, out_dir=str(tmp_path))
+        written = set()
+        for s in range(3):
+            paths, row = run_single(cfg, "bf-only", 0, 1.0, s, state=state)
+            assert row.status == "ok"
+            written |= {p.parent for p in paths}
+        assert written == {tmp_path / "wavs" / "bf-only_K0_h1"}
+        assert [d.name for d in (tmp_path / "wavs").iterdir()] == [
+            "bf-only_K0_h1"]
+
     @pytest.mark.parametrize("hyper", [9.0, 0.5])
     def test_bad_array_index_marks_row_failed(self, small_cfg, state, hyper):
         paths, row = run_single(small_cfg, "bf-only", 0, hyper, 0, state=state)
@@ -1054,6 +1067,28 @@ class TestCli:
                        timeout=120)
         assert (tmp_path / "run" / "results.csv").exists()
         assert (tmp_path / "sim" / "rirs.npz").exists()
+
+    def test_command_and_inline_sweep_load_no_process_pool(self, small_cfg,
+                                                            tmp_path):
+        # the process pool is loaded only for a sweep with workers > 1
+        cfg = replace(small_cfg, workers=1, out_dir=str(tmp_path / "run"))
+        script = (
+            "import sys\n"
+            "import spotform.cli\n"
+            "from spotform.harness import ExperimentConfig, run_experiment\n"
+            "def pool_loaded():\n"
+            "    return [m for m in ('multiprocessing',\n"
+            "                        'concurrent.futures.process')\n"
+            "            if m in sys.modules]\n"
+            "assert not pool_loaded(), pool_loaded()\n"
+            f"run_experiment(ExperimentConfig.from_dict({cfg.to_dict()!r}))\n"
+            "assert not pool_loaded(), pool_loaded()\n"
+        )
+        src = str(Path(spotform.__file__).parents[1])
+        subprocess.run([sys.executable, "-c", script], check=True,
+                       env=dict(os.environ, PYTHONPATH=src),
+                       timeout=120)
+        assert (tmp_path / "run" / "results.csv").exists()
 
     def test_scoring_loads_no_scipy(self, small_cfg, sources, tmp_path):
         # the normal equations are solved on numpy, so preparing the

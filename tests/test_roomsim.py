@@ -6,6 +6,7 @@ least squares) rather than the one inside the package.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from spotform.roomsim import (
     save_rirs,
     simulate_rirs,
 )
-from spotform.signal import Waveform
+from spotform.signal import Waveform, next_fast_len
 
 C = 343.0
 FS = 16000
@@ -285,6 +286,40 @@ class TestRender:
                     ref[s, a, m, : len(y)] = y
         np.testing.assert_array_equal(obs.images, ref)
         np.testing.assert_array_equal(obs.mixture, ref.sum(axis=0))
+
+    @pytest.mark.parametrize("n_arrays", [2, 3])
+    def test_mixture_equals_sum_of_images_exactly(self, n_arrays):
+        rs = simulate_rirs(default_scene(n_arrays, 0.3))
+        rng = np.random.default_rng(n_arrays)
+        srcs = [Waveform(rng.standard_normal(2000 + 300 * s), FS)
+                for s in range(rs.taps.shape[2])]
+        obs = render_observations(srcs, rs)
+        np.testing.assert_array_equal(obs.mixture, obs.images.sum(axis=0))
+
+    @pytest.mark.parametrize("n_arrays", [2, 3])
+    def test_render_holds_one_source_of_spectra_at_a_time(self, n_arrays):
+        # beside its outputs, the render holds one source's RIR spectra,
+        # that source's spectrum and one channel's inverse transform; the
+        # last two are O(size) and are allowed twice over, with 64 KiB for
+        # Python objects.  Transforming every channel of a source at once
+        # would hold its product and inverse transforms too, about three
+        # times the spectra.
+        rs = simulate_rirs(default_scene(n_arrays, 0.3))
+        A, M, S, n_taps = rs.taps.shape
+        lengths = [3000 + 700 * s for s in range(S)]
+        rng = np.random.default_rng(5)
+        srcs = [Waveform(rng.standard_normal(n), FS) for n in lengths]
+        sizes = [next_fast_len(n + n_taps - 1) for n in lengths]
+        spectra = max(A * M * (size // 2 + 1) * 16 for size in sizes)
+        slack = max(2 * (16 * (size // 2 + 1) + 8 * size) for size in sizes)
+        tracemalloc.start()
+        try:
+            obs = render_observations(srcs, rs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = obs.images.nbytes + obs.mixture.nbytes
+        assert peak - outputs <= spectra + slack + 2**16
 
 
 class TestPersistence:
