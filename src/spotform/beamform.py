@@ -15,6 +15,7 @@ import numpy as np
 
 from spotform.roomsim import ObservationTensor, RirSet, Scene
 from spotform.signal import (
+    ComplexSpectrogram,
     StftConfig,
     Waveform,
     frame_count,
@@ -43,22 +44,6 @@ class NoiseCovarianceSet:
 
     values: np.ndarray
     loading: np.ndarray
-
-
-@dataclass
-class BfOutputTensor:
-    """Beamformer outputs, C-contiguous complex (n_arrays, n_bins, n_frames)."""
-
-    values: np.ndarray
-    config: StftConfig
-    n_samples: int
-
-    def __post_init__(self):
-        self.values = np.ascontiguousarray(self.values, dtype=np.complex128)
-
-    @property
-    def n_arrays(self) -> int:
-        return self.values.shape[0]
 
 
 def oracle_quantities(
@@ -101,8 +86,9 @@ def mvdr_weights(d: SteeringSet, R: NoiseCovarianceSet) -> np.ndarray:
 
 
 def mvdr(X: ObservationTensor, d: SteeringSet,
-         R: NoiseCovarianceSet) -> BfOutputTensor:
-    """Beamform every array's mixture mics down to one spectrogram per array.
+         R: NoiseCovarianceSet) -> ComplexSpectrogram:
+    """Beamform every array's mixture mics down to one spectrogram per array,
+    (n_arrays, n_bins, n_frames).
 
     The arrays are transformed one at a time, so only one array's STFT is
     held beside the output.
@@ -118,7 +104,7 @@ def mvdr(X: ObservationTensor, d: SteeringSet,
         for m in range(M):  # in mic order: a reordered sum rounds differently
             Y[a] += w[a, :, m].conj()[:, None] * S[m]
         del S  # freed before the next array's STFT
-    return BfOutputTensor(Y, cfg, L)
+    return ComplexSpectrogram(Y, cfg, L)
 
 
 def _xcorr_full(x: np.ndarray, ref: np.ndarray) -> np.ndarray:

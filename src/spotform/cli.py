@@ -21,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 
-from spotform.beamform import BfOutputTensor
 from spotform.evaluate import filtered_sdr, si_sdr
 from spotform.harness import (
     ExperimentConfig,
@@ -47,17 +46,19 @@ def _cmd_simulate(args) -> int:
     if args.config:
         cfg = _load(ExperimentConfig.load, args.config)
     try:
+        scene = (cfg.scene if args.config
+                 else default_scene(n_arrays=args.arrays, t60=args.t60))
+        # before the sources are written: a t60 the room cannot reach
+        # leaves nothing under --out
+        rirs = simulate_rirs(scene)
         if not args.config:
-            scene = default_scene(n_arrays=args.arrays, t60=args.t60)
             paths = write_demo_sources(out / "sources", scene.n_sources,
                                        args.duration, scene.sample_rate,
                                        seed=args.seed)
             cfg = ExperimentConfig(scene=scene,
                                    source_paths=tuple(str(p) for p in paths),
                                    out_dir=str(out))
-        scene = cfg.scene
         sources = load_sources(cfg)
-        rirs = simulate_rirs(scene)
         obs = render_observations(sources, rirs)
     except (OSError, ValueError) as exc:
         raise SystemExit(f"spotform: {exc}") from exc
@@ -135,8 +136,7 @@ def _cmd_spotform(args) -> int:
     except ValueError as exc:
         raise SystemExit(f"spotform: {rate} Hz WAVs are not supported ({exc}); "
                          "resample them, e.g. to 16000 Hz") from exc
-    Y = BfOutputTensor(stft(np.stack([w.samples[:n] for w in waves]), cfg).values,
-                       cfg, n)
+    Y = stft(np.stack([w.samples[:n] for w in waves]), cfg)
     estimates, fused = separate(Y, args.method, args.k, args.hyper, args.seed,
                                 args.iterations, args.warmup)
     out = Path(args.out)

@@ -36,7 +36,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from spotform.beamform import BfOutputTensor, delay_and_sum, mvdr, oracle_quantities
+from spotform.beamform import delay_and_sum, mvdr, oracle_quantities
 from spotform.evaluate import (
     AggregateStats,
     PreparedReference,
@@ -182,6 +182,16 @@ class ExperimentConfig:
             check_tau(t)
         for m in self.mu_grid:
             RegularizationSchedule(m)
+        # a repeat reruns rows of one fit, which the summary counts as more
+        # samples; taus and mus compare as floats, since 1 and 1.0 are one
+        # threshold and one `_fit_key`
+        for name, grid in (("methods", self.methods), ("k_grid", self.k_grid),
+                           ("tau_grid", [float(t) for t in self.tau_grid]),
+                           ("mu_grid", [float(m) for m in self.mu_grid])):
+            repeated = sorted({v for v in grid if grid.count(v) > 1})
+            if repeated:
+                raise ValueError(f"{name} repeats "
+                                 f"{', '.join(map(str, repeated))}")
         if self.filter_taps < 1:
             raise ValueError("filter_taps must be >= 1")
         if self.workers < 1:
@@ -238,7 +248,7 @@ class PipelineState:
     """
 
     rirs: object
-    bf_tensor: BfOutputTensor
+    bf_tensor: ComplexSpectrogram
     bf_waves: list[Waveform]
     prepared: list[PreparedReference]
 
@@ -294,23 +304,23 @@ def prepare_pipeline(cfg: ExperimentConfig) -> PipelineState:
     obs = replace(obs, images=None)  # room for every mic's STFT frames
     d, R = oracle_quantities(rirs, cfg.scene, cfg.stft)
     Y = mvdr(obs, d, R)
-    bf_waves = [Waveform(y, cfg.stft.sample_rate) for y in istft(
-        ComplexSpectrogram(Y.values, cfg.stft), cfg.stft, obs.n_samples)]
+    bf_waves = [Waveform(y, cfg.stft.sample_rate) for y in istft(Y)]
     return PipelineState(rirs, Y, bf_waves, prepared)
 
 
-def separate(Y: BfOutputTensor, method: str, k: int, hyper: float, seed: int,
-             iterations: int, warmup: int) -> tuple[list[Waveform], Waveform]:
+def separate(Y: ComplexSpectrogram, method: str, k: int, hyper: float,
+             seed: int, iterations: int, warmup: int
+             ) -> tuple[list[Waveform], Waveform]:
     """Extract the target from beamformer outputs; returns (per-array, fused).
 
     Fits the method's model with stream seed `seed`, masks the target bases
     (threshold tau for nmf, the target class for ntf under weight mu),
-    applies the masked Wiener gain to every array, resynthesizes with
-    `Y.config` at length `Y.n_samples`, and fuses by delay-and-sum.  The
-    `spotform` command runs this; the sweep runs its two stages, `_fit` and
-    `_extract`, so that rows sharing a fit share it.  A bad tau or iteration
-    count is refused before the fit, as a bad mu or warmup is by the NTF
-    schedule that `_fit` builds first.
+    applies the masked Wiener gain to every array, resynthesizes each at
+    `Y.n_samples` samples, and fuses by delay-and-sum.  The `spotform`
+    command runs this; the sweep runs its two stages, `_fit` and `_extract`,
+    so that rows sharing a fit share it.  A bad tau or iteration count is
+    refused before the fit, as a bad mu or warmup is by the NTF schedule
+    that `_fit` builds first.
     """
     if method == "nmf":
         check_tau(hyper)
@@ -319,8 +329,8 @@ def separate(Y: BfOutputTensor, method: str, k: int, hyper: float, seed: int,
     return _extract(Y, method, fit, hyper)
 
 
-def _fit(Y: BfOutputTensor, method: str, k: int, hyper: float, seed: int,
-         iterations: int, warmup: int):
+def _fit(Y: ComplexSpectrogram, method: str, k: int, hyper: float,
+         seed: int, iterations: int, warmup: int):
     """The seeded stage of `separate`: the NMF model, or the NTF model and
     its class assignment.  tau is not used; mu weights the NTF penalty."""
     if method == "nmf":
@@ -331,17 +341,16 @@ def _fit(Y: BfOutputTensor, method: str, k: int, hyper: float, seed: int,
     raise ValueError(f"unknown method {method!r}")
 
 
-def _extract(Y: BfOutputTensor, method: str, fit, hyper: float
+def _extract(Y: ComplexSpectrogram, method: str, fit, hyper: float
              ) -> tuple[list[Waveform], Waveform]:
     """The per-hyper stage of `separate` on a `_fit` result: mask (threshold
     tau for nmf), Wiener gain, iSTFT and delay-and-sum.  The fit is only read."""
     if method == "nmf":
-        mask = threshold_mask(fit, Y.n_arrays, Y.values.shape[2], hyper)
+        mask = threshold_mask(fit, Y.values.shape[0], Y.n_frames, hyper)
         spec = nmf_wiener(fit, mask, Y)
     else:
         spec = ntf_wiener(*fit, Y)
-    waves = [Waveform(y, Y.config.sample_rate)
-             for y in istft(spec, Y.config, Y.n_samples)]
+    waves = [Waveform(y, Y.config.sample_rate) for y in istft(spec)]
     return waves, delay_and_sum(waves)
 
 

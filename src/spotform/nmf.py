@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spotform.beamform import BfOutputTensor
 from spotform.ntf import (
     NtfModel,
     PropTensor,
@@ -68,7 +67,7 @@ class FrameMask:
     values: np.ndarray
 
 
-def build_concat(Y: BfOutputTensor) -> ConcatMatrix:
+def build_concat(Y: ComplexSpectrogram) -> ConcatMatrix:
     """|Y| with array blocks laid side by side, column a*J + j (a copy)."""
     A, I, J = Y.values.shape
     C = np.abs(Y.values).transpose(1, 0, 2).reshape(I, A * J)
@@ -114,7 +113,7 @@ def threshold_mask(model: NmfModel, n_arrays: int, n_frames: int,
 
 
 def nmf_wiener(model: NmfModel, mask: FrameMask,
-               Y: BfOutputTensor) -> ComplexSpectrogram:
+               Y: ComplexSpectrogram) -> ComplexSpectrogram:
     """Wiener reconstruction from the masked model, (A, I, J)."""
-    U = model.V.reshape(Y.n_arrays, -1, model.K)  # array a's block of V
+    U = model.V.reshape(Y.values.shape[0], -1, model.K)  # array a's block of V
     return masked_wiener(model.T, U, mask.values, Y)

@@ -28,11 +28,10 @@ mu = 0 (see `spotform.nmf`).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from spotform.beamform import BfOutputTensor
 from spotform.gkl import EPS, gkl_divergence, gkl_elementwise
 from spotform.signal import ComplexSpectrogram
 
@@ -116,7 +115,7 @@ class RegularizationSchedule:
         return 0.0 if iteration < self.warmup_iterations else self.mu
 
 
-def build_prop_tensor(Y: BfOutputTensor) -> PropTensor:
+def build_prop_tensor(Y: ComplexSpectrogram) -> PropTensor:
     """|Y|, in Y's (array, bin, frame) layout."""
     return PropTensor(np.abs(Y.values))
 
@@ -246,7 +245,7 @@ def fit_ntf(
 
 
 def masked_wiener(
-    T: np.ndarray, U: np.ndarray, keep: np.ndarray, Y: BfOutputTensor
+    T: np.ndarray, U: np.ndarray, keep: np.ndarray, Y: ComplexSpectrogram
 ) -> ComplexSpectrogram:
     """Wiener reconstruction from the kept share of each basis, (A, I, J).
 
@@ -260,18 +259,18 @@ def masked_wiener(
     K = T.shape[1]
     keep = np.broadcast_to(np.asarray(keep, dtype=np.float64), U.shape)
     if np.all(keep == 1.0):
-        return ComplexSpectrogram(Y.values.copy(), Y.config)
+        return replace(Y, values=Y.values.copy())
     if not np.any(keep):
         warnings.warn("no basis kept for the target class; output is zero")
     T2 = T**2
     num = T2 @ ((keep * U) ** 2).reshape(A * J, K).T  # (I, A*J)
     den = T2 @ (U**2).reshape(A * J, K).T
     gain = (num / np.maximum(den, EPS)).reshape(I, A, J)
-    return ComplexSpectrogram(Y.values * gain.transpose(1, 0, 2), Y.config)
+    return replace(Y, values=Y.values * gain.transpose(1, 0, 2))
 
 
 def ntf_wiener(
-    model: NtfModel, assignment: Assignment, Y: BfOutputTensor
+    model: NtfModel, assignment: Assignment, Y: ComplexSpectrogram
 ) -> ComplexSpectrogram:
     """Wiener reconstruction keeping the target-class bases, (A, I, J)."""
     U = model.Z[:, None, :] * model.V[None, :, :]  # (A, J, K)

@@ -1,9 +1,11 @@
 """Waveforms, STFT analysis/synthesis, energy normalization, and WAV I/O.
 
-Waveforms are mono float64; the STFT and iSTFT also take batches along
-leading axes.  Both use a periodic Hann window at 50% overlap, which is
-constant-overlap-add, one-sided spectra, and `window_length - hop` zeros
-prepended so that frame 0 is centered near sample 0: ``ceil(n / hop)`` frames.
+Waveforms are mono float64.  `stft` takes samples (..., n), a batch along
+the leading axes, and returns a `ComplexSpectrogram` that records n;
+`istft` takes only that spectrogram and returns samples (..., n).  Both use
+a periodic Hann window at 50% overlap, which is constant-overlap-add,
+one-sided spectra, and `window_length - hop` zeros prepended so that frame 0
+is centered near sample 0: ``ceil(n / hop)`` frames.
 """
 
 from __future__ import annotations
@@ -82,16 +84,19 @@ class Waveform:
 
 @dataclass
 class ComplexSpectrogram:
-    """One-sided STFT: complex (..., n_bins, n_frames), a signal per index."""
+    """One-sided STFT of signals `n_samples` long: C-contiguous complex
+    (..., n_bins, n_frames), a signal per leading index."""
 
     values: np.ndarray
     config: StftConfig
+    n_samples: int
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.shape[-2:-1] != (self.config.n_bins,):
-            raise ValueError(f"expected (..., {self.config.n_bins} bins, "
-                             f"frames), got {self.values.shape}")
+        self.values = np.ascontiguousarray(self.values, dtype=np.complex128)
+        want = (self.config.n_bins, frame_count(self.n_samples, self.config))
+        if self.n_samples < 1 or self.values.shape[-2:] != want:
+            raise ValueError(f"{self.n_samples} samples need (..., {want[0]} "
+                             f"bins, {want[1]} frames), got {self.values.shape}")
 
     @property
     def n_frames(self) -> int:
@@ -126,14 +131,9 @@ def frame_count(n_samples: int, cfg: StftConfig) -> int:
     return int(math.ceil(n_samples / cfg.hop))
 
 
-def stft(x: Waveform | np.ndarray, cfg: StftConfig) -> ComplexSpectrogram:
-    """One-sided STFT of a Waveform, or of samples (..., n) at the config's
-    rate: C-contiguous values (..., n_bins, n_frames) from one transform."""
-    if isinstance(x, Waveform):
-        if x.sample_rate != cfg.sample_rate:
-            raise ValueError(f"waveform rate {x.sample_rate} != config rate "
-                             f"{cfg.sample_rate}")
-        x = x.samples
+def stft(x: np.ndarray, cfg: StftConfig) -> ComplexSpectrogram:
+    """One-sided STFT of samples (..., n) at the config's rate: values
+    (..., n_bins, n_frames) from one transform."""
     n = x.shape[-1]
     if n == 0:
         raise ValueError("empty signal")
@@ -147,18 +147,12 @@ def stft(x: Waveform | np.ndarray, cfg: StftConfig) -> ComplexSpectrogram:
     del padded  # freed before the spectra: a batch's buffers are large
     values = np.empty((*x.shape[:-1], cfg.n_bins, n_frames), dtype=np.complex128)
     np.fft.rfft(frames, axis=-1, out=np.swapaxes(values, -1, -2))
-    return ComplexSpectrogram(values, cfg)
+    return ComplexSpectrogram(values, cfg, n)
 
 
-def istft(S: ComplexSpectrogram, cfg: StftConfig,
-          length: int) -> Waveform | np.ndarray:
-    """Weighted overlap-add synthesis, truncated or zero-padded to `length`:
-    a Waveform for one spectrogram, samples (..., length) for a batch."""
-    if S.config != cfg:
-        raise ValueError("spectrogram was produced with a different STFT config")
-    if length < 0:
-        raise ValueError("length must be nonnegative")
-    win_len, hop = cfg.window_length, cfg.hop
+def istft(S: ComplexSpectrogram) -> np.ndarray:
+    """Weighted overlap-add synthesis: samples (..., S.n_samples)."""
+    win_len, hop = S.config.window_length, S.config.hop
     lead, n_frames, offsets = S.values.shape[:-2], S.n_frames, win_len // hop
     # hop divides the window, so frame j's chunk r lands on hop block j + r;
     # adding offsets last-to-first gives each block its windowed frames in
@@ -172,11 +166,9 @@ def istft(S: ComplexSpectrogram, cfg: StftConfig,
         out[..., r : r + n_frames, :] += chunks[..., r, :] * window[r]
         norm[r : r + n_frames] += window[r] ** 2
     out /= np.maximum(norm, EPS)
+    # the frames cover n_frames * hop >= n_samples samples past the head
     pad_head = win_len - hop
-    y = out.reshape(*lead, -1)[..., pad_head : pad_head + length]
-    if y.shape[-1] < length:
-        y = np.pad(y, [(0, 0)] * len(lead) + [(0, length - y.shape[-1])])
-    return y if lead else Waveform(y, cfg.sample_rate)
+    return out.reshape(*lead, -1)[..., pad_head : pad_head + S.n_samples]
 
 
 def normalize_energy(sources: list[Waveform]) -> list[Waveform]:

@@ -21,7 +21,7 @@ from numpy.testing import assert_allclose
 
 import spotform
 from spotform import cli, evaluate, harness, ntf
-from spotform.beamform import BfOutputTensor, delay_and_sum
+from spotform.beamform import delay_and_sum
 from spotform.cli import main
 from spotform.evaluate import filtered_sdr, si_sdr
 from spotform.harness import (
@@ -173,6 +173,19 @@ class TestConfig:
         with pytest.raises(ValueError, match=match):
             replace(small_cfg, **{field: grid})
 
+
+    @pytest.mark.parametrize("field, grid, message", [
+        ("methods", ("nmf", "ntf", "nmf"), "methods repeats nmf"),
+        ("k_grid", (4, 10, 4), "k_grid repeats 4"),
+        ("tau_grid", (0.05, 1, 1.0), "tau_grid repeats 1.0"),
+        ("mu_grid", (1.0, 10.0, 1), "mu_grid repeats 1.0"),
+    ], ids=["methods", "k", "tau", "mu"])
+    def test_repeated_grid_value_rejected(self, small_cfg, field, grid,
+                                          message):
+        # a repeat runs rows of one fit again, and the summary would count
+        # them as further samples; 1 and 1.0 are one tau or mu
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            replace(small_cfg, **{field: grid})
 
     # setitimer turns 0 into no deadline and raises mid-sweep on the others
     @pytest.mark.parametrize("timeout_s", [0.0, -1.0, float("inf"),
@@ -351,9 +364,8 @@ class TestSeparate:
         # and the fused output moves with the anchor array.
         voices = default_voices(n_arrays + 1, 1.2, 16000)
         cfg = StftConfig()
-        specs = [stft(Waveform(voices[0].samples + 2.0 * v.samples, 16000),
-                      cfg).values for v in voices[1:]]
-        Y = BfOutputTensor(np.stack(specs), cfg, len(voices[0]))
+        Y = stft(np.stack([voices[0].samples + 2.0 * v.samples
+                           for v in voices[1:]]), cfg)
         perm = [1, 0] if n_arrays == 2 else [2, 0, 1]
         Yp = replace(Y, values=Y.values[perm])
         _, assignment = _fit(Y, "ntf", k, 100.0, 3, 40, 20)
@@ -746,23 +758,27 @@ class TestCli:
     def test_spotform_writes_separate_output(self, sources, tmp_path, capsys,
                                              method, k, hyper, iterations,
                                              warmup):
-        code = main(["spotform", *sources, "--method", method, "--k", str(k),
-                     "--hyper", str(hyper), "--seed", "7",
-                     "--iterations", str(iterations), "--warmup", str(warmup),
-                     "--out", str(tmp_path / "spot")])
+        # the middle input ends 1000 samples early, not a whole number of
+        # hops, so no frame count alone gives the length every WAV is cut to
+        waves = [read_wav(p) for p in sources]
+        n = len(waves[1]) - 1000
+        cfg = StftConfig(sample_rate=waves[1].sample_rate)
+        assert n < min(len(w) for w in waves) and n % cfg.hop != 0
+        short = tmp_path / "short.wav"
+        write_wav(short, Waveform(waves[1].samples[:n], cfg.sample_rate))
+        code = main(["spotform", sources[0], str(short), sources[2],
+                     "--method", method, "--k", str(k), "--hyper", str(hyper),
+                     "--seed", "7", "--iterations", str(iterations),
+                     "--warmup", str(warmup), "--out", str(tmp_path / "spot")])
         assert code == 0
         names = sorted(p.name for p in (tmp_path / "spot").iterdir())
         assert names == ["estimate_array0.wav", "estimate_array1.wav",
                          "estimate_array2.wav", "estimate_fused.wav"]
-        waves = [read_wav(p) for p in sources]
-        n = min(len(w) for w in waves)
-        cfg = StftConfig(sample_rate=waves[0].sample_rate)
-        specs = [stft(Waveform(w.samples[:n], w.sample_rate), cfg).values
-                 for w in waves]
-        Y = BfOutputTensor(np.stack(specs), cfg, n)
+        Y = stft(np.stack([w.samples[:n] for w in waves]), cfg)
         want, want_fused = separate(Y, method, k, hyper, 7, iterations, warmup)
         got = [read_wav(tmp_path / "spot" / name) for name in names]
         for g, w in zip(got, [*want, want_fused], strict=True):
+            assert g.samples.shape == (n,)
             # the CLI writes float32 WAVs
             np.testing.assert_array_equal(g.samples,
                                           w.samples.astype(np.float32))
@@ -991,12 +1007,14 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["--arrays", "4"], ["--arrays", "0"], ["--t60", "-1"], ["--t60", "nan"],
         ["--duration", "0"], ["--duration", "-1"], ["--duration", "nan"],
-        ["--seed", "-1"],
+        ["--seed", "-1"], ["--t60", "5"],
     ], ids=["arrays-4", "arrays-0", "t60-negative", "t60-nan", "duration-0",
-            "duration-negative", "duration-nan", "seed-negative"])
+            "duration-negative", "duration-nan", "seed-negative",
+            "t60-unreachable"])
     def test_simulate_bad_argument_ends_with_message(self, tmp_path, argv):
-        # the default scene and its sources are checked before anything is
-        # written, so not even the sources directory is left under --out
+        # the default scene, its RIRs and its sources are checked before
+        # anything is written, so not even the sources directory is left
+        # under --out
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--duration", "0.4", *argv,
                   "--out", str(tmp_path / "out")])
@@ -1165,6 +1183,19 @@ class TestCli:
         assert str(exc.value.code) == (
             f"spotform: {cfg_path}: timeout_s must be a number of seconds "
             "in (0, 1e9], got 0")
+        assert not (tmp_path / "out").exists()
+
+    def test_run_rejects_a_repeated_grid_value_with_message(self, small_cfg,
+                                                            tmp_path):
+        d = small_cfg.to_dict()
+        d["mu_grid"] = [10.0, 10]
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(d))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg_path),
+                  "--out", str(tmp_path / "out")])
+        assert str(exc.value.code) == (
+            f"spotform: {cfg_path}: mu_grid repeats 10.0")
         assert not (tmp_path / "out").exists()
 
     def test_run_out_override(self, small_cfg, tmp_path, capsys):

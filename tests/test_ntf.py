@@ -15,7 +15,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from spotform.beamform import BfOutputTensor
 from spotform.gkl import EPS
 from spotform.nmf import (
     ConcatMatrix,
@@ -41,7 +40,7 @@ from spotform.ntf import (
     ntf_wiener,
     update_step,
 )
-from spotform.signal import StftConfig
+from spotform.signal import ComplexSpectrogram, StftConfig
 
 
 def random_bf_output(rng, I=6, J=5, A=2):
@@ -49,7 +48,7 @@ def random_bf_output(rng, I=6, J=5, A=2):
     # drawn (I, J, A), so each seeded test keeps the numbers it was written for
     vals = vals.transpose(2, 0, 1)
     cfg = StftConfig(window_length_ms=(I - 1) * 2 / 16, hop_ms=(I - 1) / 16)
-    return BfOutputTensor(vals, cfg, J * cfg.hop)
+    return ComplexSpectrogram(vals, cfg, J * cfg.hop)
 
 
 def random_model(rng, A=2, I=4, J=3, K=3):
