@@ -8,6 +8,10 @@ Subcommands mirror the pipeline stages:
              WAVs are cut to the shortest, analysed with the default STFT
              and handed to `harness.separate`, the sweep's own path
   eval       score an estimate WAV against a reference WAV
+
+`main` is the one error boundary: an `OSError` or `ValueError` from any
+command, an unwritable `--out` included, ends as one `spotform: <error>` line
+and exit status 1.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from spotform.harness import (
 )
 from spotform.roomsim import default_scene, render_observations, save_rirs, simulate_rirs
 from spotform.signal import StftConfig, Waveform, read_wav, stft, write_wav
-from spotform.synth import write_demo_sources
+from spotform.synth import check_voice_args, write_demo_sources
 
 
 def _load(load, path):
@@ -45,23 +49,21 @@ def _cmd_simulate(args) -> int:
     out = Path(args.out)
     if args.config:
         cfg = _load(ExperimentConfig.load, args.config)
-    try:
-        scene = (cfg.scene if args.config
-                 else default_scene(n_arrays=args.arrays, t60=args.t60))
-        # before the sources are written: a t60 the room cannot reach
-        # leaves nothing under --out
-        rirs = simulate_rirs(scene)
-        if not args.config:
-            paths = write_demo_sources(out / "sources", scene.n_sources,
-                                       args.duration, scene.sample_rate,
-                                       seed=args.seed)
-            cfg = ExperimentConfig(scene=scene,
-                                   source_paths=tuple(str(p) for p in paths),
-                                   out_dir=str(out))
-        sources = load_sources(cfg)
-        obs = render_observations(sources, rirs)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"spotform: {exc}") from exc
+        scene = cfg.scene
+    else:
+        scene = default_scene(n_arrays=args.arrays, t60=args.t60)
+        check_voice_args(scene.n_sources, args.duration, args.seed)
+    # before the sources are written: a t60 the room cannot reach
+    # leaves nothing under --out
+    rirs = simulate_rirs(scene)
+    if not args.config:
+        paths = write_demo_sources(out / "sources", scene.n_sources,
+                                   args.duration, scene.sample_rate,
+                                   seed=args.seed)
+        cfg = ExperimentConfig(scene=scene,
+                               source_paths=tuple(str(p) for p in paths),
+                               out_dir=str(out))
+    obs = render_observations(load_sources(cfg), rirs)
     out.mkdir(parents=True, exist_ok=True)
     save_rirs(out / "rirs.npz", rirs)
     for a in range(scene.n_arrays):
@@ -91,11 +93,8 @@ def _cmd_run(args) -> int:
         overrides["workers"] = args.workers
     if args.out is not None:
         overrides["out_dir"] = args.out
-    try:
-        cfg = replace(cfg, **overrides)
-        rows, _ = run_experiment(cfg)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"spotform: {exc}") from exc
+    cfg = replace(cfg, **overrides)
+    rows, _ = run_experiment(cfg)
     failed = sum(r.status != "ok" for r in rows)
     print(f"{len(rows)} rows ({failed} failed) -> {cfg.out_dir}/results.csv")
     return 0 if failed == 0 else 1
@@ -158,10 +157,7 @@ def _cmd_eval(args) -> int:
         raise SystemExit(f"spotform: --taps must be >= 1, got {args.taps}")
     est = _load(read_wav, args.estimate)
     ref = _load(read_wav, args.reference)
-    try:
-        f_db, s_db = filtered_sdr(est, ref, args.taps), si_sdr(est, ref)
-    except ValueError as exc:
-        raise SystemExit(f"spotform: {exc}") from exc
+    f_db, s_db = filtered_sdr(est, ref, args.taps), si_sdr(est, ref)
     print(f"filtered_sdr_db={f_db:.4f}")
     print(f"si_sdr_db={s_db:.4f}")
     return 0
@@ -226,7 +222,10 @@ def main(argv=None) -> int:
 
     with warnings.catch_warnings():
         warnings.showwarning = show
-        return args.func(args)
+        try:
+            return args.func(args)
+        except (OSError, ValueError) as exc:
+            raise SystemExit(f"spotform: {exc}") from exc
 
 
 if __name__ == "__main__":

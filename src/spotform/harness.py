@@ -30,7 +30,7 @@ import itertools
 import json
 import signal
 import time
-from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -224,13 +224,13 @@ class ResultRow:
 
     method: str
     n_arrays: int
-    t60: float
+    t60: float = field(metadata={"format": "g"})
     k: int
-    tau_or_mu: float
+    tau_or_mu: float = field(metadata={"format": ".9g"})
     seed: int
-    sdr_filtered_db: float
-    sdr_si_db: float
-    runtime_ms: float
+    sdr_filtered_db: float = field(metadata={"format": ".6f"})
+    sdr_si_db: float = field(metadata={"format": ".6f"})
+    runtime_ms: float = field(metadata={"format": ".3f"})
     status: str = "ok"
     reason: str = ""
 
@@ -562,21 +562,16 @@ def _aggregate_rows(rows: list[ResultRow]) -> dict[tuple, AggregateStats]:
     return aggregate(groups)
 
 
-def _fmt(x: float) -> str:
-    return "nan" if np.isnan(x) else f"{x:.6f}"
-
-
 def write_results_csv(path, rows: list[ResultRow]) -> None:
+    columns = [(c.name, c.metadata.get("format", ""))
+               for c in fields(ResultRow)]
     with open(path, "w", newline="") as f:
         f.write(f"# schema: {RESULTS_SCHEMA}\n")
         w = csv.writer(f)
-        w.writerow([f.name for f in fields(ResultRow)])
+        w.writerow([name for name, _ in columns])
         for r in rows:
-            w.writerow([
-                r.method, r.n_arrays, f"{r.t60:g}", r.k, f"{r.tau_or_mu:.9g}",
-                r.seed, _fmt(r.sdr_filtered_db), _fmt(r.sdr_si_db),
-                f"{r.runtime_ms:.3f}", r.status, r.reason,
-            ])
+            w.writerow([format(getattr(r, name), spec)
+                        for name, spec in columns])
 
 
 def write_summary_csv(path, stats: dict[tuple, AggregateStats]) -> None:

@@ -90,10 +90,8 @@ def harmonic_voice(
     return normalize_energy([Waveform(x, sample_rate)])[0]
 
 
-def default_voices(
-    n_sources: int, duration_s: float, sample_rate: int, seed: int = 0
-) -> list[Waveform]:
-    """Distinct-pitch voices; index 0 is meant as the target."""
+def check_voice_args(n_sources: int, duration_s: float, seed: int) -> None:
+    """Refuse the arguments `default_voices` cannot make voices from."""
     if n_sources < 1:
         raise ValueError("need at least one source")
     if not (np.isfinite(duration_s) and duration_s > 0):
@@ -101,6 +99,13 @@ def default_voices(
                          f"got {duration_s}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+
+
+def default_voices(
+    n_sources: int, duration_s: float, sample_rate: int, seed: int = 0
+) -> list[Waveform]:
+    """Distinct-pitch voices; index 0 is meant as the target."""
+    check_voice_args(n_sources, duration_s, seed)
     return [
         harmonic_voice(duration_s, sample_rate, seed + 17 * i,
                        f0=DEFAULT_F0S[i % len(DEFAULT_F0S)])

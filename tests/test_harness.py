@@ -26,6 +26,7 @@ from spotform.cli import main
 from spotform.evaluate import filtered_sdr, si_sdr
 from spotform.harness import (
     ExperimentConfig,
+    ResultRow,
     _fit,
     _group_tasks,
     _run_group,
@@ -37,6 +38,7 @@ from spotform.harness import (
     run_experiment,
     run_single,
     separate,
+    write_results_csv,
 )
 from spotform.roomsim import default_scene, render_observations, simulate_rirs
 from spotform.signal import StftConfig, Waveform, read_wav, stft, write_wav
@@ -424,6 +426,14 @@ class TestRunExperiment:
         assert header[:6] == ["method", "n_arrays", "t60", "k", "tau_or_mu",
                               "seed"]
         assert len(lines) == 2 + len(experiment[0])
+
+    def test_results_csv_writes_a_failed_timeout_row(self, tmp_path):
+        nan = float("nan")
+        row = ResultRow("nmf", 2, 0.3, 4, 0.05, 1, nan, nan, nan,
+                        status="failed", reason="timeout")
+        write_results_csv(tmp_path / "results.csv", [row])
+        lines = (tmp_path / "results.csv").read_text().splitlines()
+        assert lines[2:] == ["nmf,2,0.3,4,0.05,1,nan,nan,nan,failed,timeout"]
 
     def test_deterministic_apart_from_runtime(self, small_cfg, tmp_path):
         cfg2 = replace(small_cfg, out_dir=str(tmp_path / "rerun"))
@@ -1020,6 +1030,45 @@ class TestCli:
                   "--out", str(tmp_path / "out")])
         assert str(exc.value.code).startswith("spotform: ")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--duration", "0"],
+         "duration must be a finite number of seconds > 0, got 0.0"),
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
+    ], ids=["duration-0", "seed-negative"])
+    def test_simulate_checks_voice_arguments_before_simulating(
+            self, tmp_path, monkeypatch, argv, message):
+        # a bad --duration or --seed is refused before the RIRs, which take
+        # about a second at this t60
+        def no_rirs(scene):
+            raise AssertionError("simulated RIRs before checking arguments")
+
+        monkeypatch.setattr(cli, "simulate_rirs", no_rirs)
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--t60", "0.6", *argv,
+                  "--out", str(tmp_path / "out")])
+        assert str(exc.value.code) == f"spotform: {message}"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["spotform", "simulate", "run"])
+    def test_out_naming_an_existing_file_ends_with_message(
+            self, small_cfg, sources, tmp_path, capsys, command):
+        # no command writes under a file; each ends at main's one boundary
+        out = tmp_path / "taken"
+        out.write_text("not a directory")
+        cfg_path = tmp_path / "exp.json"
+        replace(small_cfg, methods=("bf-only",), n_seeds=1).save(cfg_path)
+        argv = {"spotform": ["spotform", sources[0], sources[1], "--method",
+                             "ntf", "--k", "4", "--hyper", "10",
+                             "--iterations", "4", "--warmup", "2"],
+                "simulate": ["simulate", "--config", str(cfg_path)],
+                "run": ["run", "--config", str(cfg_path)]}[command]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        msg = str(exc.value.code)
+        assert msg.startswith("spotform: ") and str(out) in msg
+        assert "Traceback" not in capsys.readouterr().err
+        assert out.read_text() == "not a directory"
 
     @pytest.mark.parametrize("taps", [0, -3])
     def test_eval_rejects_bad_taps_before_reading(self, tmp_path, taps):
