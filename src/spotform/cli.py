@@ -11,7 +11,8 @@ Subcommands mirror the pipeline stages:
 
 `main` is the one error boundary: an `OSError` or `ValueError` from any
 command, an unwritable `--out` included, ends as one `spotform: <error>` line
-and exit status 1.
+and exit status 1.  An `--out` (or `run`'s config `out_dir`) that exists and
+is not a directory is refused before the command does any work.
 """
 
 from __future__ import annotations
@@ -43,6 +44,13 @@ def _load(load, path):
         return load(path)
     except (OSError, ValueError) as exc:
         raise SystemExit(f"spotform: {path}: {exc}") from exc
+
+
+def _check_out(out, name: str = "--out") -> None:
+    """Refuse an output directory that exists as something else, before any
+    command reads, simulates or fits."""
+    if out is not None and Path(out).exists() and not Path(out).is_dir():
+        raise SystemExit(f"spotform: {name} {out} is not a directory")
 
 
 def _cmd_simulate(args) -> int:
@@ -94,6 +102,8 @@ def _cmd_run(args) -> int:
     if args.out is not None:
         overrides["out_dir"] = args.out
     cfg = replace(cfg, **overrides)
+    if args.out is None:
+        _check_out(cfg.out_dir, f"{args.config}: out_dir")
     rows, _ = run_experiment(cfg)
     failed = sum(r.status != "ok" for r in rows)
     print(f"{len(rows)} rows ({failed} failed) -> {cfg.out_dir}/results.csv")
@@ -213,6 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command; each distinct warning prints once, as it arrives."""
     args = build_parser().parse_args(argv)
+    _check_out(getattr(args, "out", None))
     seen = set()
 
     def show(message, *_):

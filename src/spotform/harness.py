@@ -161,6 +161,10 @@ class ExperimentConfig:
                 f"scene has {self.scene.n_sources} sources, config lists "
                 f"{len(self.source_paths)} paths"
             )
+        if self.stft.sample_rate != self.scene.sample_rate:
+            raise ValueError(
+                f"stft.sample_rate {self.stft.sample_rate} Hz differs from "
+                f"scene.sample_rate {self.scene.sample_rate} Hz")
         if not self.methods:
             raise ValueError("no methods selected")
         for m in self.methods:
@@ -285,8 +289,11 @@ def load_sources(cfg: ExperimentConfig) -> list[Waveform]:
         wav = read_wav(p)
         if wav.sample_rate != rate:
             wav = resample(wav, rate)
-        out.append(wav)
-    return normalize_energy(out)
+        try:
+            out += normalize_energy([wav])
+        except ValueError as exc:
+            raise ValueError(f"{p}: {exc}") from exc
+    return out
 
 
 def prepare_pipeline(cfg: ExperimentConfig) -> PipelineState:

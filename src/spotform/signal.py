@@ -18,6 +18,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 EPS = 1e-12
+# output samples `resample` computes at once
+_RESAMPLE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -183,9 +185,13 @@ def normalize_energy(sources: list[Waveform]) -> list[Waveform]:
 
 
 def resample(x: Waveform, target_rate: int) -> Waveform:
-    """Polyphase windowed-sinc resampling (~64 taps per phase, Kaiser beta=8)."""
-    import scipy.signal  # lazy: about 1 s to import, unused by `spotform`
+    """Polyphase windowed-sinc resampling (Crochiere & Rabiner, 1983).
 
+    The low-pass is a Kaiser (beta 8) windowed sinc at the lower Nyquist
+    rate with unit DC gain, times `up`: the taps `scipy.signal.firwin` gives,
+    about 64 per phase.  The group delay is removed and ceil(n * up / down)
+    samples are kept, computed `_RESAMPLE_BLOCK` at a time.
+    """
     if target_rate <= 0:
         raise ValueError("target_rate must be positive")
     if target_rate == x.sample_rate:
@@ -194,14 +200,23 @@ def resample(x: Waveform, target_rate: int) -> Waveform:
     up, down = target_rate // g, x.sample_rate // g
     # group delay rounded up to a whole number of output samples
     half = int(math.ceil(32 * up / down)) * down
-    cutoff = 1.0 / max(up, down)
-    taps = scipy.signal.firwin(2 * half + 1, cutoff, window=("kaiser", 8.0)) * up
-    y = scipy.signal.upfirdn(taps, x.samples, up, down)
-    offset = half // down
-    n_out = int(math.ceil(len(x) * up / down))
-    y = y[offset : offset + n_out]
-    if len(y) < n_out:
-        y = np.pad(y, (0, n_out - len(y)))
+    taps = (np.sinc(np.arange(-half, half + 1) / max(up, down))
+            * np.kaiser(2 * half + 1, 8.0))
+    taps *= up / taps.sum()
+    # phases[p, j] = taps[p + j * up] weighs input sample t // up - j at
+    # upsampled time t = p (mod up)
+    per_phase = -(-taps.size // up)
+    phases = np.pad(taps, (0, per_phase * up - taps.size)).reshape(-1, up).T
+    n, n_out = len(x), int(math.ceil(len(x) * up / down))
+    y = np.empty(n_out)
+    for start in range(0, n_out, _RESAMPLE_BLOCK):
+        t = (half // down + np.arange(start, min(start + _RESAMPLE_BLOCK,
+                                                 n_out))) * down
+        k = t[:, None] // up - np.arange(per_phase)
+        w = phases[t % up]
+        w[(k < 0) | (k >= n)] = 0.0  # the signal is zero outside 0..n-1
+        y[start : start + t.size] = np.einsum(
+            "ij,ij->i", w, x.samples.take(k, mode="clip"))
     return Waveform(y, target_rate)
 
 

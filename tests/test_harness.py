@@ -1070,6 +1070,66 @@ class TestCli:
         assert "Traceback" not in capsys.readouterr().err
         assert out.read_text() == "not a directory"
 
+    @pytest.mark.parametrize("command, no_work", [
+        ("spotform", "read_wav"), ("simulate", "simulate_rirs"),
+        ("run", "run_experiment"), ("run-config", "run_experiment")])
+    def test_out_not_a_directory_is_refused_before_any_work(
+            self, small_cfg, sources, tmp_path, monkeypatch, command,
+            no_work):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{no_work} ran before --out was checked")
+
+        monkeypatch.setattr(cli, no_work, refuse)
+        out = tmp_path / "taken"
+        out.write_text("not a directory")
+        cfg_path = tmp_path / "exp.json"
+        replace(small_cfg, out_dir=str(out)).save(cfg_path)
+        argv = {"spotform": ["spotform", sources[0], sources[1], "--method",
+                             "ntf", "--hyper", "10", "--out", str(out)],
+                "simulate": ["simulate", "--out", str(out)],
+                "run": ["run", "--config", str(cfg_path), "--out", str(out)],
+                "run-config": ["run", "--config", str(cfg_path)]}[command]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        name = f"{cfg_path}: out_dir" if command == "run-config" else "--out"
+        assert str(exc.value.code) == (
+            f"spotform: {name} {out} is not a directory")
+        assert out.read_text() == "not a directory"
+
+    def test_run_names_the_silent_source(self, small_cfg, tmp_path):
+        # normalize_energy says only "silent source"; the config lists three
+        silent = tmp_path / "silent.wav"
+        write_wav(silent, Waveform(np.zeros(8000), 16000))
+        paths = small_cfg.source_paths
+        cfg = replace(small_cfg, source_paths=(paths[0], str(silent), paths[2]),
+                      methods=("bf-only",), n_seeds=1)
+        cfg_path = tmp_path / "exp.json"
+        cfg.save(cfg_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg_path),
+                  "--out", str(tmp_path / "out")])
+        assert str(exc.value.code) == f"spotform: {silent}: silent source"
+        assert not (tmp_path / "out").exists()
+
+    def test_run_refuses_unequal_rates_when_loading_the_config(
+            self, small_cfg, tmp_path, monkeypatch):
+        # refused as the config loads, not after the RIRs are simulated
+        def no_rirs(scene):
+            raise AssertionError("simulated RIRs before checking the rates")
+
+        monkeypatch.setattr(harness, "simulate_rirs", no_rirs)
+        d = small_cfg.to_dict()
+        d["stft"]["sample_rate"] = 8000
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(d))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg_path),
+                  "--out", str(tmp_path / "out")])
+        assert str(exc.value.code) == (
+            f"spotform: {cfg_path}: stft.sample_rate 8000 Hz differs from "
+            "scene.sample_rate 16000 Hz")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("taps", [0, -3])
     def test_eval_rejects_bad_taps_before_reading(self, tmp_path, taps):
         # the flag is checked first, so the missing WAVs are never opened
@@ -1102,11 +1162,11 @@ class TestCli:
 
     def test_simulate_and_sweep_do_not_import_scipy_signal(self, small_cfg,
                                                            sources, tmp_path):
-        # scipy.signal costs about a second and 40 MB, and only resampling a
-        # source recorded at another rate needs it; every FFT runs on
-        # numpy.fft, so nothing loads scipy.fft either.  Writing the demo
-        # sources and `spotform simulate` load no scipy at all, an inline
-        # sweep and `spotform eval` neither scipy.signal nor scipy.fft
+        # scipy.signal costs about a second and 40 MB, and nothing needs it:
+        # resampling a source recorded at another rate runs on numpy, and
+        # every FFT on numpy.fft, so nothing loads scipy.fft either.  Writing
+        # the demo sources and `spotform simulate` load no scipy at all, an
+        # inline sweep and `spotform eval` neither scipy.signal nor scipy.fft
         cfg = replace(small_cfg, workers=1, out_dir=str(tmp_path / "run"))
         script = (
             "import sys\n"
@@ -1134,6 +1194,28 @@ class TestCli:
                        timeout=120)
         assert (tmp_path / "run" / "results.csv").exists()
         assert (tmp_path / "sim" / "rirs.npz").exists()
+
+    def test_sweep_resamples_a_44k_source_without_scipy(self, small_cfg,
+                                                        tmp_path):
+        # a source at 44.1 kHz is resampled to the scene's 16 kHz on numpy
+        # alone, so the sweep runs where scipy cannot even be imported
+        paths = write_demo_sources(tmp_path / "src", 3, 0.5, 44100, seed=0)
+        cfg = replace(small_cfg, source_paths=tuple(map(str, paths)),
+                      methods=("bf-only", "nmf"), n_seeds=1, workers=1,
+                      out_dir=str(tmp_path / "run"))
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from spotform.harness import ExperimentConfig, run_experiment\n"
+            f"rows, _ = run_experiment(ExperimentConfig.from_dict("
+            f"{cfg.to_dict()!r}))\n"
+            "assert rows and all(r.status == 'ok' for r in rows), rows\n"
+        )
+        src = str(Path(spotform.__file__).parents[1])
+        subprocess.run([sys.executable, "-c", script], check=True,
+                       env=dict(os.environ, PYTHONPATH=src),
+                       timeout=120)
+        assert (tmp_path / "run" / "results.csv").exists()
 
     def test_command_and_inline_sweep_load_no_process_pool(self, small_cfg,
                                                             tmp_path):

@@ -2,6 +2,7 @@
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from spotform import signal
 from spotform.signal import (
     ComplexSpectrogram,
     StftConfig,
@@ -277,6 +279,56 @@ class TestResample:
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError):
             resample(Waveform(np.zeros(10), 16000), 0)
+
+
+def _scipy_resample(x, rate_in, rate_out):
+    """resample as it was when built on `scipy.signal`: `firwin` taps run
+    through `upfirdn`, the group delay cut off and the tail zero-padded."""
+    import scipy.signal
+
+    g = math.gcd(rate_in, rate_out)
+    up, down = rate_out // g, rate_in // g
+    half = int(math.ceil(32 * up / down)) * down
+    taps = scipy.signal.firwin(2 * half + 1, 1.0 / max(up, down),
+                               window=("kaiser", 8.0)) * up
+    y = scipy.signal.upfirdn(taps, x, up, down)
+    offset, n_out = half // down, int(math.ceil(len(x) * up / down))
+    y = y[offset : offset + n_out]
+    return np.pad(y, (0, n_out - len(y)))
+
+
+class TestResampleMatchesScipy:
+    """The numpy polyphase filter against the scipy construction it
+    replaces: same taps, same delay, same length."""
+
+    @pytest.mark.parametrize("rate_in, rate_out", [
+        (44100, 16000), (48000, 16000), (22050, 16000), (8000, 16000),
+        (16000, 44100), (16000, 8000)])
+    def test_matches_firwin_upfirdn(self, rate_in, rate_out):
+        rng = np.random.default_rng(rate_in + rate_out)
+        for n in (1, 2, 3, 5, 7, 13, 101, 997, 4099, rate_in):
+            x = rng.standard_normal(n)
+            want = _scipy_resample(x, rate_in, rate_out)
+            got = resample(Waveform(x, rate_in), rate_out).samples
+            assert got.shape == want.shape, n
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), n
+
+    def test_memory_bounded_by_block(self):
+        # 60 s at 44.1 kHz: the output plus the few (block, taps per phase)
+        # temporaries of one block, never an array the length of the input
+        x = Waveform(np.random.default_rng(0).standard_normal(60 * 44100),
+                     44100)
+        up, down = 160, 441
+        half = math.ceil(32 * up / down) * down
+        per_phase = math.ceil((2 * half + 1) / up)
+        tracemalloc.start()
+        try:
+            y = resample(x, 16000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = 8 * signal._RESAMPLE_BLOCK * per_phase
+        assert peak <= y.samples.nbytes + 4 * block + 2**20, peak
 
 
 class TestWavIo:
