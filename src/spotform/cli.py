@@ -12,7 +12,9 @@ Subcommands mirror the pipeline stages:
 `main` is the one error boundary: an `OSError` or `ValueError` from any
 command, an unwritable `--out` included, ends as one `spotform: <error>` line
 and exit status 1.  An `--out` (or `run`'s config `out_dir`) that exists and
-is not a directory is refused before the command does any work.
+is not a directory is refused before the command does any work.  A `run`
+whose sweep failed rows writes its outputs, prints one `spotform:` line per
+distinct failure reason and exits 1.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import argparse
 import json
 import sys
 import warnings
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -105,9 +108,13 @@ def _cmd_run(args) -> int:
     if args.out is None:
         _check_out(cfg.out_dir, f"{args.config}: out_dir")
     rows, _ = run_experiment(cfg)
-    failed = sum(r.status != "ok" for r in rows)
-    print(f"{len(rows)} rows ({failed} failed) -> {cfg.out_dir}/results.csv")
-    return 0 if failed == 0 else 1
+    failed = [r.reason for r in rows if r.status != "ok"]
+    print(f"{len(rows)} rows ({len(failed)} failed) -> "
+          f"{cfg.out_dir}/results.csv")
+    for reason, n in Counter(failed).items():  # in results.csv order
+        print(f"spotform: {n} row{'s' if n != 1 else ''} failed: {reason}",
+              file=sys.stderr)
+    return 0 if not failed else 1
 
 
 def _check_spotform_args(args) -> None:

@@ -19,7 +19,7 @@ f"{master}|nmf|{K}|{seed index}" for nmf and
 f"{master}|ntf|{K}|{float(mu)!r}|{seed index}" for ntf.  Any single row can
 be reproduced in isolation with `run_single`.  Output CSVs are
 byte-deterministic given the config, except the runtime_ms column and rows
-failed by wall-clock timeout.
+failed by wall-clock timeout or by a pool worker that died.
 """
 
 from __future__ import annotations
@@ -470,9 +470,35 @@ _WORKER_STATE: PipelineState | None = None
 
 
 def _init_worker(cfg: ExperimentConfig, state: PipelineState) -> None:
+    """Hold the sweep's config and state, and end this worker when the
+    sweep's process ends: a daemon thread waits on the parent's sentinel,
+    so a killed `spotform run` leaves no worker computing on."""
+    import multiprocessing
+    import multiprocessing.connection
+    import os
+    import threading
+
     global _WORKER_CFG, _WORKER_STATE
     _WORKER_CFG = cfg
     _WORKER_STATE = state
+    sentinel = multiprocessing.parent_process().sentinel
+
+    def end_with_parent():
+        multiprocessing.connection.wait([sentinel])
+        os._exit(1)
+
+    threading.Thread(target=end_with_parent, daemon=True).start()
+
+
+def _failed_rows(cfg: ExperimentConfig,
+                 tasks: list[tuple[str, int, float, int]],
+                 reason: str) -> list[ResultRow]:
+    """Rows of `tasks` that failed with `reason` before a score or a runtime
+    was measured: both SDRs and runtime_ms are NaN."""
+    nan = float("nan")
+    return [ResultRow(method, cfg.scene.n_arrays, cfg.scene.t60, k, hyper, s,
+                      nan, nan, nan, "failed", reason)
+            for method, k, hyper, s in tasks]
 
 
 class _Deadline(BaseException):
@@ -503,10 +529,7 @@ def _run_group(cfg: ExperimentConfig, state: PipelineState,
             rows.append(_run_task(cfg, state, t, fits=fits)[0])
         running = False
     except _Deadline:
-        rows += [ResultRow(method, cfg.scene.n_arrays, cfg.scene.t60, k,
-                           hyper, s, float("nan"), float("nan"), float("nan"),
-                           "failed", "timeout")
-                 for method, k, hyper, s in group[len(rows):]]
+        rows += _failed_rows(cfg, group[len(rows):], "timeout")
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
@@ -531,7 +554,9 @@ def run_experiment(cfg: ExperimentConfig
     their scores, the rest fail as "timeout" with runtime_ms NaN, and the
     sweep goes on.  The deadline is a SIGALRM timer, so the sweep must run
     in the main thread on a POSIX system, and it takes over SIGALRM and
-    ITIMER_REAL while a group runs.
+    ITIMER_REAL while a group runs.  If a pool worker dies, the pool breaks:
+    the groups whose rows arrived keep them, and every row of the others
+    fails as "worker died (BrokenProcessPool)" with runtime_ms NaN.
     """
     state = prepare_pipeline(cfg)
     out = Path(cfg.out_dir)
@@ -542,11 +567,19 @@ def run_experiment(cfg: ExperimentConfig
     else:
         # loaded here: inline sweeps and the other commands never need it
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         with ProcessPoolExecutor(max_workers=cfg.workers,
                                  initializer=_init_worker,
                                  initargs=(cfg, state)) as pool:
-            done = list(pool.map(_worker_run, groups))
+            futures = [pool.submit(_worker_run, g) for g in groups]
+            done = []
+            for g, f in zip(groups, futures):
+                try:
+                    done.append(f.result())
+                except BrokenProcessPool:
+                    done.append(_failed_rows(
+                        cfg, g, "worker died (BrokenProcessPool)"))
     rows = [r for g in done for r in g]
     rows.sort(key=ResultRow.sort_key)
     stats = _aggregate_rows(rows)

@@ -9,10 +9,11 @@ bases reconstructs the target per array.
 NMF is the tensor kernel of `spotform.ntf` at A = 1 with mu = 0: the
 concatenation is factorized as the (1, I, A*J) tensor, whose allocation Z
 stays 1 and whose allocation update collapses to a per-component rescaling
-of V.  `fit_nmf` is the tensor's seeded start followed by the tensor step,
-repeated.  This module holds no update formula of its own; it converts
-between the matrix and tensor views, thresholds the activations, and hands
-the mask to the shared Wiener gain.
+of V.  `fit_nmf` is the tensor's seeded start followed by the tensor step
+at mu = 0, repeated; at mu = 0 the step never reads the attractors.  This
+module holds no update formula of its own; it converts between the matrix
+and tensor views, thresholds the activations, and hands the mask to the
+shared Wiener gain.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import numpy as np
 from spotform.ntf import (
     NtfModel,
     PropTensor,
-    build_attractors,
     initial_model,
     masked_wiener,
 )
@@ -81,7 +81,7 @@ def update_step(model: NmfModel, C: ConcatMatrix) -> NmfModel:
     """
     step = ntf_update_step(
         NtfModel(Z=np.ones((1, model.K)), T=model.T, V=model.V, seed=model.seed),
-        PropTensor(C.values[None]), build_attractors(1), 0.0)
+        PropTensor(C.values[None]), 0.0)
     return NmfModel(T=step.T, V=step.V, seed=model.seed)
 
 
@@ -92,9 +92,8 @@ def fit_nmf(C: ConcatMatrix, K: int, iterations: int = 100,
         raise ValueError("iterations must be >= 1")
     tensor = PropTensor(C.values[None])
     model = initial_model(*tensor.values.shape, K, seed)
-    attractors = build_attractors(1)
     for it in range(iterations):
-        model = ntf_update_step(model, tensor, attractors, 0.0, it)
+        model = ntf_update_step(model, tensor, 0.0, it)
     return NmfModel(T=model.T, V=model.V, seed=seed)
 
 

@@ -3,9 +3,11 @@
 Each basis k gets an allocation column z_k on the simplex describing how its
 energy splits across arrays.  Fixed attractor vectors define the source
 classes: the uniform vector 1/A marks the common (target) class, and each
-one-hot vector marks interference local to one array.  A GKL pull of z_k
-toward its nearest attractor is added to the factorization cost; bases whose
-nearest attractor is the uniform one are kept as the target.
+one-hot vector marks interference local to one array.  The set depends only
+on the array count A, so each function here builds it, `build_attractors(A)`,
+from its input's shape.  A GKL pull of z_k toward its nearest attractor is
+added to the factorization cost; bases whose nearest attractor is the uniform
+one are kept as the target.
 
 All updates are multiplicative majorization-minimization steps, so for fixed
 regularization weight the cost never increases.
@@ -48,10 +50,6 @@ class PropTensor:
         if np.any(self.values < 0):
             raise ValueError("tensor must be nonnegative")
 
-    @property
-    def n_arrays(self) -> int:
-        return self.values.shape[0]
-
 
 @dataclass
 class NtfModel:
@@ -78,13 +76,6 @@ class NtfModel:
 def _khatri_rao(Z: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Column-wise Kronecker product Z (.) T: row a*I + i is Z[a] * T[i]."""
     return (Z[:, None, :] * T[None, :, :]).reshape(-1, Z.shape[1])
-
-
-@dataclass
-class AttractorSet:
-    """Columns of P: p_0 = uniform (target class), p_b = one-hot array b-1."""
-
-    P: np.ndarray  # (A, B) with B = A + 1
 
 
 @dataclass
@@ -120,37 +111,35 @@ def build_prop_tensor(Y: ComplexSpectrogram) -> PropTensor:
     return PropTensor(np.abs(Y.values))
 
 
-def build_attractors(n_arrays: int) -> AttractorSet:
+def build_attractors(n_arrays: int) -> np.ndarray:
+    """The (A, A+1) attractors P: column 0 is the uniform vector 1/A (the
+    target class), column b the one-hot vector of array b-1."""
     if n_arrays < 1:
         raise ValueError("need at least one array")
-    P = np.concatenate(
+    return np.concatenate(
         [np.full((n_arrays, 1), 1.0 / n_arrays), np.eye(n_arrays)], axis=1
     )
-    return AttractorSet(P)
 
 
-def _attractor_dist(Z: np.ndarray, attractors: AttractorSet) -> np.ndarray:
-    """dist[b, k] = sum_a d(p_{a,b} | z_{a,k}); +inf where z = 0 under p > 0."""
-    return gkl_elementwise(
-        attractors.P.T[:, :, None], Z[None, :, :]
-    ).sum(axis=1)
+def _attractor_dist(Z: np.ndarray) -> np.ndarray:
+    """dist[b, k] = sum_a d(p_{a,b} | z_{a,k}) over the attractors of Z's
+    array count; +inf where z = 0 under p > 0."""
+    P = build_attractors(Z.shape[0])
+    return gkl_elementwise(P.T[:, :, None], Z[None, :, :]).sum(axis=1)
 
 
-def assign_attractors(Z: np.ndarray, attractors: AttractorSet) -> Assignment:
+def assign_attractors(Z: np.ndarray) -> Assignment:
     """Nearest attractor per column of Z under GKL; ties go to the target."""
-    b = np.argmin(_attractor_dist(Z, attractors), axis=0).astype(np.int64)
+    b = np.argmin(_attractor_dist(Z), axis=0).astype(np.int64)
     return Assignment(b=b, h=(b == 0).astype(np.int64))
 
 
-def evaluate_cost(
-    model: NtfModel, C: PropTensor, attractors: AttractorSet, mu: float
-) -> float:
+def evaluate_cost(model: NtfModel, C: PropTensor, mu: float) -> float:
     """Data divergence plus mu times the summed distance of each column of Z
     to its nearest attractor."""
     cost = gkl_divergence(C.values, model.compose())
     if mu > 0:
-        cost += mu * float(np.sum(np.min(_attractor_dist(model.Z, attractors),
-                                         axis=0)))
+        cost += mu * float(np.sum(np.min(_attractor_dist(model.Z), axis=0)))
     return cost
 
 
@@ -187,18 +176,15 @@ def initial_model(A: int, I: int, J: int, K: int, seed: int) -> NtfModel:
 
 
 def update_step(
-    model: NtfModel,
-    C: PropTensor,
-    attractors: AttractorSet,
-    mu: float,
-    iteration: int | None = None,
+    model: NtfModel, C: PropTensor, mu: float, iteration: int | None = None
 ) -> NtfModel:
     """One composite iteration: assign, update Z, update T, update V.
 
     The attractor assignment must happen before the Z update; Z and T are
     renormalized to the simplex afterwards with the scale folded into V,
-    which leaves the composed tensor (and hence the cost) unchanged.  At
-    mu = 0 the attractor pull adds nothing, so the assignment is skipped.
+    which leaves the composed tensor (and hence the cost) unchanged.  The
+    pull is toward the attractors of C's array count; at mu = 0 it adds
+    nothing, so the assignment is skipped.
     Every ratio is formed in one (A*I, J) buffer allocated per call.
     """
     A, I, J = C.values.shape
@@ -210,7 +196,7 @@ def update_step(
     RV = (_ratio(c, _khatri_rao(Z, T), V, work) @ V).reshape(A, I, K)
     num = Z * np.einsum("aik,ik->ak", RV, T)
     if mu:
-        num += mu * attractors.P[:, assign_attractors(Z, attractors).b]
+        num += mu * build_attractors(A)[:, assign_attractors(Z).b]
     den = T.sum(axis=0) * V.sum(axis=0) + mu
     Z = num / np.maximum(den, EPS)[None, :]
     scale = np.maximum(Z.sum(axis=0), EPS)
@@ -238,10 +224,9 @@ def fit_ntf(
 ) -> tuple[NtfModel, Assignment]:
     """Run the full schedule; returns the model and its final assignment."""
     model = initial_model(*C.values.shape, K, seed)
-    attractors = build_attractors(C.n_arrays)
     for it in range(schedule.total_iterations):
-        model = update_step(model, C, attractors, schedule.weight_at(it), it)
-    return model, assign_attractors(model.Z, attractors)
+        model = update_step(model, C, schedule.weight_at(it), it)
+    return model, assign_attractors(model.Z)
 
 
 def masked_wiener(

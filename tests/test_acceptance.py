@@ -48,8 +48,8 @@ def planted_tensor(data_seed: int, classes, K: int, peaky: bool = False,
                    A: int = 2, I: int = 16, J: int = 24):
     """Exact low-rank tensor whose bases carry known class assignments."""
     r = np.random.default_rng(data_seed)
-    attractors = build_attractors(A)
-    Zt = attractors.P[:, classes]
+    P = build_attractors(A)
+    Zt = P[:, classes]
     if peaky:
         # a few dominant rows per basis keep the bases identifiable
         Tt = r.uniform(0, 0.15, (I, K))
@@ -60,7 +60,7 @@ def planted_tensor(data_seed: int, classes, K: int, peaky: bool = False,
     Tt /= Tt.sum(0)
     Vt = r.uniform(0.5, 2.0, (J, K))
     C = np.einsum("ak,ik,jk->aij", Zt, Tt, Vt)
-    return PropTensor(C), attractors
+    return PropTensor(C), P
 
 
 def test_a01_cost_nonincreasing_on_random_instances():
@@ -73,15 +73,14 @@ def test_a01_cost_nonincreasing_on_random_instances():
     for n in range(100):
         A, K, mu = combos[n % len(combos)]
         C = PropTensor(rng.uniform(0, 1, (A, I, J)))
-        attractors = build_attractors(A)
         T = rng.uniform(0, 1, (I, K))
         T /= T.sum(0)
         model = NtfModel(Z=np.full((A, K), 1.0 / A), T=T,
                          V=rng.uniform(0, 1, (J, K)), seed=0)
-        prev = evaluate_cost(model, C, attractors, mu)
+        prev = evaluate_cost(model, C, mu)
         for _ in range(20):
-            model = ntf_step(model, C, attractors, mu)
-            cur = evaluate_cost(model, C, attractors, mu)
+            model = ntf_step(model, C, mu)
+            cur = evaluate_cost(model, C, mu)
             worst = max(worst, (cur - prev) / abs(prev))
             prev = cur
     elapsed = time.perf_counter() - t0
@@ -93,10 +92,10 @@ def test_a01_cost_nonincreasing_on_random_instances():
 def test_a02_allocations_land_on_attractors_at_large_mu():
     hits, worst = 0, 0.0
     for seed in range(10):
-        C, attractors = planted_tensor(seed + 100, [0, 1, 2], K=3)
+        C, P = planted_tensor(seed + 100, [0, 1, 2], K=3)
         model, _ = fit_ntf(C, 3, RegularizationSchedule(1000.0, 50, 100),
                            seed=seed)
-        gaps = np.abs(model.Z[:, :, None] - attractors.P[:, None, :]).sum(0)
+        gaps = np.abs(model.Z[:, :, None] - P[:, None, :]).sum(0)
         nearest = gaps.min(axis=1)
         hits += bool(np.all(nearest < 1e-3))
         worst = max(worst, float(nearest.max()))

@@ -6,6 +6,7 @@ everything except the runtime column, which is wall-clock by nature.
 """
 
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -683,6 +684,40 @@ class TestRunExperiment:
                 assert r.status == "ok"
                 assert r.sdr_filtered_db == want.sdr_filtered_db
 
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched group must reach forked workers")
+    def test_dead_worker_fails_only_the_groups_without_rows(
+            self, small_cfg, experiment, tmp_path, monkeypatch):
+        # os._exit stands in for a worker killed by the kernel
+        run_group = harness._run_group
+
+        def dying_run_group(cfg, state, group):
+            if group[0][0] == "ntf" and group[0][3] == 0:
+                os._exit(9)
+            return run_group(cfg, state, group)
+
+        monkeypatch.setattr(harness, "_run_group", dying_run_group)
+        out = tmp_path / "out"
+        rows, _ = run_experiment(replace(small_cfg, workers=2,
+                                         out_dir=str(out)))
+        inline, _ = experiment
+        strip = lambda r: (r.method, r.k, r.tau_or_mu, r.seed,
+                           r.sdr_filtered_db, r.sdr_si_db)
+        assert [strip(r)[:4] for r in rows] == [strip(r)[:4] for r in inline]
+        assert any(r.status == "ok" for r in rows)
+        for r, want in zip(rows, inline, strict=True):
+            if r.status == "ok":
+                assert strip(r) == strip(want)
+            else:
+                assert r.reason == "worker died (BrokenProcessPool)"
+                assert np.isnan(r.runtime_ms)
+            if r.method == "ntf" and r.seed == 0:
+                assert r.status == "failed"
+        for name in ("results.csv", "summary.csv", "manifest.json"):
+            assert (out / name).exists()
+        doc = json.loads((out / "manifest.json").read_text())
+        assert doc["n_failed"] == sum(r.status != "ok" for r in rows) > 0
+
     def test_sweep_leaves_no_timer_or_handler(self, tau_cfg, tmp_path):
         def stray(signum, frame):
             raise AssertionError("SIGALRM after the sweep")
@@ -1296,6 +1331,80 @@ class TestCli:
         assert main(["run", "--config", str(cfg_path)]) == 0
         assert capsys.readouterr().err.splitlines() == [
             "spotform: warning: K=80 exceeds min(A*I, J)=77; proceeding"]
+
+    def test_run_prints_why_rows_failed(self, tau_cfg, tmp_path,
+                                        monkeypatch, capsys):
+        hung = derive_seed(tau_cfg.master_seed, "nmf", 4, 0.0, 1)
+        fit_nmf = harness.fit_nmf
+
+        def hanging_fit_nmf(C, K, iterations, seed):
+            if seed == hung:
+                time.sleep(30)
+            return fit_nmf(C, K, iterations, seed)
+
+        monkeypatch.setattr(harness, "fit_nmf", hanging_fit_nmf)
+        cfg = replace(tau_cfg, workers=1, timeout_s=1.0,
+                      out_dir=str(tmp_path / "run"))
+        cfg_path = tmp_path / "exp.json"
+        cfg.save(cfg_path)
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == f"6 rows (3 failed) -> {cfg.out_dir}/results.csv\n"
+        assert err.splitlines() == ["spotform: 3 rows failed: timeout"]
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                        reason="finds the pool workers through /proc")
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="forked workers are children of the sweep")
+    def test_pool_workers_end_with_a_terminated_run(self, small_cfg,
+                                                    tmp_path):
+        def parent_of(pid):
+            """The parent pid of a running process; None once it has ended."""
+            try:
+                stat = Path(f"/proc/{pid}/stat").read_text()
+            except OSError:
+                return None
+            state, ppid = stat.rsplit(")", 1)[1].split()[:2]
+            return None if state == "Z" else int(ppid)
+
+        def alive(pid):
+            return parent_of(pid) is not None
+
+        # far more work than the test waits for
+        cfg = replace(small_cfg, methods=("ntf",), k_grid=(30,), n_seeds=40,
+                      iterations=100, warmup_iterations=50, workers=2,
+                      out_dir=str(tmp_path / "run"))
+        cfg_path = tmp_path / "exp.json"
+        cfg.save(cfg_path)
+        src = str(Path(spotform.__file__).parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "spotform.cli", "run",
+             "--config", str(cfg_path)],
+            env=dict(os.environ, PYTHONPATH=src),
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        workers = []
+        try:
+            deadline = time.monotonic() + 60.0
+            while len(workers) < 2 and time.monotonic() < deadline:
+                assert proc.poll() is None, "the sweep ended early"
+                time.sleep(0.1)
+                workers = [int(p.name) for p in Path("/proc").glob("[0-9]*")
+                           if parent_of(p.name) == proc.pid]
+            assert len(workers) == 2
+            time.sleep(1.0)  # both workers are computing
+            proc.send_signal(signal.SIGTERM)
+            proc.wait(timeout=10)
+            deadline = time.monotonic() + 5.0
+            while (any(alive(w) for w in workers)
+                   and time.monotonic() < deadline):
+                time.sleep(0.1)
+            assert not [w for w in workers if alive(w)]
+        finally:
+            proc.kill()
+            proc.wait()
+            for w in workers:
+                if alive(w):
+                    os.kill(w, signal.SIGKILL)
 
     def test_run_rejects_bad_pool_settings_with_message(self, small_cfg,
                                                         tmp_path):

@@ -26,7 +26,6 @@ from spotform.nmf import (
 )
 from spotform.ntf import (
     Assignment,
-    AttractorSet,
     NtfModel,
     PropTensor,
     RegularizationSchedule,
@@ -178,14 +177,14 @@ class TestBuildPropTensor:
 
 class TestBuildAttractors:
     def test_structure(self):
-        P = build_attractors(3).P
+        P = build_attractors(3)
         assert P.shape == (3, 4)
         assert_allclose(P[:, 0], 1.0 / 3.0)
         assert_allclose(P[:, 1:], np.eye(3))
 
     def test_columns_are_simplex(self):
         for A in (1, 2, 5):
-            P = build_attractors(A).P
+            P = build_attractors(A)
             assert_allclose(P.sum(axis=0), 1.0)
 
     def test_rejects_zero_arrays(self):
@@ -195,41 +194,36 @@ class TestBuildAttractors:
 
 class TestAssignAttractors:
     def test_uniform_column_is_target(self):
-        attr = build_attractors(2)
-        out = assign_attractors(np.array([[0.5], [0.5]]), attr)
+        out = assign_attractors(np.array([[0.5], [0.5]]))
         assert out.b[0] == 0 and out.h[0] == 1
 
     def test_skewed_column_goes_local(self):
-        attr = build_attractors(2)
+        P = build_attractors(2)
         Z = np.array([[0.9], [0.1]])
-        out = assign_attractors(Z, attr)
+        out = assign_attractors(Z)
         dists = [
-            sum(gkl_scalar(attr.P[a, b], Z[a, 0]) for a in range(2))
+            sum(gkl_scalar(P[a, b], Z[a, 0]) for a in range(2))
             for b in range(3)
         ]
         assert out.b[0] == int(np.argmin(dists)) == 1
         assert out.h[0] == 0
 
     def test_one_hot_matches_its_array(self):
-        attr = build_attractors(3)
-        out = assign_attractors(np.array([[0.0], [0.0], [1.0]]), attr)
+        out = assign_attractors(np.array([[0.0], [0.0], [1.0]]))
         assert out.b[0] == 3
 
     def test_zero_entry_excludes_positive_attractors(self):
         # z = (1, 0): infinite divergence from the uniform attractor
-        attr = build_attractors(2)
-        out = assign_attractors(np.array([[1.0], [0.0]]), attr)
+        out = assign_attractors(np.array([[1.0], [0.0]]))
         assert out.b[0] == 1
 
     def test_all_infinite_falls_back_to_target(self):
-        attr = build_attractors(2)
-        out = assign_attractors(np.zeros((2, 1)), attr)
+        out = assign_attractors(np.zeros((2, 1)))
         assert out.b[0] == 0 and out.h[0] == 1
 
     def test_tie_prefers_smallest_index(self):
         # with one array both attractors coincide, so every column ties
-        attr = build_attractors(1)
-        out = assign_attractors(np.array([[0.7, 1.0]]), attr)
+        out = assign_attractors(np.array([[0.7, 1.0]]))
         assert np.all(out.b == 0)
 
     def test_matches_scalar_reference(self):
@@ -239,11 +233,11 @@ class TestAssignAttractors:
         Z[rng.uniform(size=Z.shape) < 0.25] = 0.0
         Z[0, Z.sum(axis=0) == 0.0] = 1.0
         Z /= Z.sum(axis=0, keepdims=True)
-        attr = build_attractors(A)
-        out = assign_attractors(Z, attr)
+        P = build_attractors(A)
+        out = assign_attractors(Z)
         for k in range(K):
             dists = [
-                sum(gkl_scalar(attr.P[a, b], Z[a, k]) for a in range(A))
+                sum(gkl_scalar(P[a, b], Z[a, k]) for a in range(A))
                 for b in range(A + 1)
             ]
             expect = min(range(A + 1), key=lambda b: (dists[b], b))
@@ -263,7 +257,7 @@ def _split_column(A: int, x: float) -> np.ndarray:
 
 
 def _picks_target(A: int, x: float) -> bool:
-    return assign_attractors(_split_column(A, x), build_attractors(A)).h[0] == 1
+    return assign_attractors(_split_column(A, x)).h[0] == 1
 
 
 class TestTargetBoundary:
@@ -292,23 +286,23 @@ class TestUpdateStep:
         model = random_model(rng, A=2, I=3, J=2, K=2)
         c = rng.uniform(0.0, 2.0, size=(2, 3, 2))
         c[0, 1, 1] = 0.0  # exercise the zero-data branch
-        attr = build_attractors(2)
+        P = build_attractors(2)
         for mu in (0.0, 0.7, 50.0):
-            got = update_step(model, PropTensor(c), attr, mu)
-            want = brute_force_step(model, c, attr.P, mu)
+            got = update_step(model, PropTensor(c), mu)
+            want = brute_force_step(model, c, P, mu)
             assert_allclose(got.Z, want.Z, rtol=0, atol=1e-12)
             assert_allclose(got.T, want.T, rtol=0, atol=1e-12)
             assert_allclose(got.V, want.V, rtol=0, atol=1e-12)
 
     def test_exact_model_with_attractor_allocations_is_fixed_point(self):
         rng = np.random.default_rng(5)
-        attr = build_attractors(2)
+        P = build_attractors(2)
         T = rng.uniform(0.1, 1.0, size=(5, 3))
         T /= T.sum(axis=0, keepdims=True)
         V = rng.uniform(0.5, 1.5, size=(4, 3))
-        model = NtfModel(Z=attr.P.copy(), T=T, V=V, seed=0)
+        model = NtfModel(Z=P.copy(), T=T, V=V, seed=0)
         C = PropTensor(model.compose())
-        out = update_step(model, C, attr, mu=37.5)
+        out = update_step(model, C, mu=37.5)
         assert_allclose(out.Z, model.Z, rtol=0, atol=1e-12)
         assert_allclose(out.T, model.T, rtol=0, atol=1e-12)
         assert_allclose(out.V, model.V, rtol=0, atol=1e-12)
@@ -317,18 +311,18 @@ class TestUpdateStep:
         rng = np.random.default_rng(11)
         model = random_model(rng, A=3, I=4, J=3, K=5)
         c = rng.uniform(0.0, 1.0, size=(3, 4, 3))
-        attr = build_attractors(3)
-        hit = assign_attractors(model.Z, attr)
-        out = update_step(model, PropTensor(c), attr, mu=1e9)
+        P = build_attractors(3)
+        hit = assign_attractors(model.Z)
+        out = update_step(model, PropTensor(c), mu=1e9)
         for k in range(5):
-            target = attr.P[:, hit.b[k]]
+            target = P[:, hit.b[k]]
             assert np.abs(out.Z[:, k] - target).sum() < 1e-6
 
     def test_simplex_preserved(self):
         rng = np.random.default_rng(13)
         model = random_model(rng, A=2, I=6, J=5, K=4)
         c = rng.uniform(0.0, 1.0, size=(2, 6, 5))
-        out = update_step(model, PropTensor(c), build_attractors(2), mu=3.0)
+        out = update_step(model, PropTensor(c), mu=3.0)
         assert_allclose(out.Z.sum(axis=0), 1.0, atol=1e-12)
         assert_allclose(out.T.sum(axis=0), 1.0, atol=1e-12)
         assert np.all(out.V >= 0)
@@ -340,30 +334,29 @@ class TestUpdateStep:
         c[0, 0, 0] = np.inf
         with np.errstate(invalid="ignore"):
             with pytest.raises(FloatingPointError, match="iteration 3"):
-                update_step(model, PropTensor(c), build_attractors(2), 0.0,
-                            iteration=3)
+                update_step(model, PropTensor(c), 0.0, iteration=3)
 
 
 class TestEvaluateCost:
     def test_exact_fit_on_attractors_costs_nothing(self):
         rng = np.random.default_rng(19)
-        attr = build_attractors(2)
+        P = build_attractors(2)
         T = rng.uniform(0.1, 1.0, size=(4, 3))
         T /= T.sum(axis=0, keepdims=True)
         V = rng.uniform(0.5, 1.5, size=(3, 3))
-        model = NtfModel(Z=attr.P.copy(), T=T, V=V, seed=0)
+        model = NtfModel(Z=P.copy(), T=T, V=V, seed=0)
         C = PropTensor(model.compose())
-        assert abs(evaluate_cost(model, C, attr, mu=123.0)) < 1e-9
+        assert abs(evaluate_cost(model, C, mu=123.0)) < 1e-9
 
     def test_matches_loop_reference(self):
         rng = np.random.default_rng(23)
         model = random_model(rng, A=2, I=3, J=4, K=3)
         c = rng.uniform(0.0, 2.0, size=(2, 3, 4))
         c[1, 2, 0] = 0.0
-        attr = build_attractors(2)
+        P = build_attractors(2)
         for mu in (0.0, 2.5):
-            got = evaluate_cost(model, PropTensor(c), attr, mu)
-            want = brute_force_cost(model, c, attr.P, mu)
+            got = evaluate_cost(model, PropTensor(c), mu)
+            want = brute_force_cost(model, c, P, mu)
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_scaling_a_column_into_v_leaves_composition_unchanged(self):
@@ -386,12 +379,11 @@ class TestFitNtf:
         C = PropTensor(rng.uniform(0.0, 1.0, size=(2, 10, 8)))
         sched = RegularizationSchedule(mu=50.0, warmup_iterations=20,
                                        total_iterations=60)
-        attr = build_attractors(2)
         model, costs = initial_model(2, 10, 8, K=4, seed=3), []
         for it in range(sched.total_iterations):
             w = sched.weight_at(it)
-            model = update_step(model, C, attr, w, iteration=it)
-            costs.append(evaluate_cost(model, C, attr, w))
+            model = update_step(model, C, w, iteration=it)
+            costs.append(evaluate_cost(model, C, w))
         costs = np.array(costs)
         for seg in (costs[:20], costs[20:]):
             slack = 1e-9 * np.maximum(1.0, np.abs(seg[:-1]))
@@ -419,16 +411,16 @@ class TestFitNtf:
     def test_recovers_planted_allocations(self):
         # one basis per class; strong late regularization snaps Z back on
         rng = np.random.default_rng(41)
-        attr = build_attractors(2)
+        P = build_attractors(2)
         T = rng.uniform(0.0, 1.0, size=(8, 3))
         T /= T.sum(axis=0, keepdims=True)
         V = rng.uniform(0.5, 2.0, size=(12, 3))
-        planted = NtfModel(Z=attr.P.copy(), T=T, V=V, seed=0)
+        planted = NtfModel(Z=P.copy(), T=T, V=V, seed=0)
         C = PropTensor(planted.compose())
         sched = RegularizationSchedule(mu=1000.0, warmup_iterations=50,
                                        total_iterations=100)
         model, _ = fit_ntf(C, K=3, schedule=sched, seed=0)
-        dist = np.abs(model.Z[:, :, None] - attr.P[:, None, :]).sum(axis=0)
+        dist = np.abs(model.Z[:, :, None] - P[:, None, :]).sum(axis=0)
         assert np.all(dist.min(axis=1) < 1e-3)
 
 
@@ -528,9 +520,8 @@ def test_update_never_increases_cost(A, I, J, K, mu, seed):
     rng = np.random.default_rng(seed)
     C = PropTensor(rng.uniform(0.0, 1.0, size=(A, I, J)))
     model = random_model(rng, A=A, I=I, J=J, K=K)
-    attr = build_attractors(A)
-    before = evaluate_cost(model, C, attr, mu)
-    after = evaluate_cost(update_step(model, C, attr, mu), C, attr, mu)
+    before = evaluate_cost(model, C, mu)
+    after = evaluate_cost(update_step(model, C, mu), C, mu)
     assert after <= before + 1e-9 * max(1.0, abs(before))
 
 
@@ -550,12 +541,12 @@ def test_trace_matches_cost_of_each_iterate(A, mu):
                                    total_iterations=10)
     model, assignment = fit_ntf(C, K, sched, seed=seed)
 
-    ref, attr = initial_model(A, I, J, K, seed), build_attractors(A)
+    ref, P = initial_model(A, I, J, K, seed), build_attractors(A)
     for it in range(sched.total_iterations):
-        ref = update_step(ref, C, attr, sched.weight_at(it), iteration=it)
+        ref = update_step(ref, C, sched.weight_at(it), iteration=it)
     for got, exp in ((model.Z, ref.Z), (model.T, ref.T), (model.V, ref.V)):
         assert np.array_equal(got, exp)
-    assert np.array_equal(assignment.b, assign_attractors(ref.Z, attr).b)
+    assert np.array_equal(assignment.b, assign_attractors(ref.Z).b)
 
     def seeded_start(A, I, J):
         # one generator draws T, then V; T's columns on the simplex
@@ -567,7 +558,7 @@ def test_trace_matches_cost_of_each_iterate(A, mu):
 
     scalar = seeded_start(A, I, J)
     for w in [0.0] * 4 + [mu] * 6:
-        scalar = brute_force_step(scalar, c, attr.P, w)
+        scalar = brute_force_step(scalar, c, P, w)
     for got, exp in ((model.Z, scalar.Z), (model.T, scalar.T),
                      (model.V, scalar.V)):
         assert_allclose(got, exp, rtol=1e-9, atol=0)
