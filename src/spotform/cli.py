@@ -9,12 +9,13 @@ Subcommands mirror the pipeline stages:
              and handed to `harness.separate`, the sweep's own path
   eval       score an estimate WAV against a reference WAV
 
-`main` is the one error boundary: an `OSError` or `ValueError` from any
-command, an unwritable `--out` included, ends as one `spotform: <error>` line
-and exit status 1.  An `--out` (or `run`'s config `out_dir`) that exists and
-is not a directory is refused before the command does any work.  A `run`
-whose sweep failed rows writes its outputs, prints one `spotform:` line per
-distinct failure reason and exits 1.
+`main` is the one error boundary: an `OSError`, `ValueError` or `MemoryError`
+from any command (an unwritable `--out`, a `--k` or `--taps` too large to
+allocate) ends as one `spotform: <error>` line and exit status 1.  An `--out`
+(or `run`'s config `out_dir`) that exists and is not a directory is refused
+before the command does any work.  A `run` whose sweep failed rows writes
+its outputs, prints one `spotform:` line per distinct failure reason and
+exits 1.
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ def _cmd_simulate(args) -> int:
         scene = cfg.scene
     else:
         scene = default_scene(n_arrays=args.arrays, t60=args.t60)
-        check_voice_args(scene.n_sources, args.duration, args.seed)
+        check_voice_args(scene.n_sources, args.duration, scene.sample_rate,
+                         args.seed)
     # before the sources are written: a t60 the room cannot reach
     # leaves nothing under --out
     rirs = simulate_rirs(scene)
@@ -242,7 +244,7 @@ def main(argv=None) -> int:
         warnings.showwarning = show
         try:
             return args.func(args)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, MemoryError) as exc:
             raise SystemExit(f"spotform: {exc}") from exc
 
 

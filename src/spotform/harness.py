@@ -290,7 +290,7 @@ def load_sources(cfg: ExperimentConfig) -> list[Waveform]:
         if wav.sample_rate != rate:
             wav = resample(wav, rate)
         try:
-            out += normalize_energy([wav])
+            out.append(normalize_energy(wav))
         except ValueError as exc:
             raise ValueError(f"{p}: {exc}") from exc
     return out
@@ -325,13 +325,8 @@ def separate(Y: ComplexSpectrogram, method: str, k: int, hyper: float,
     applies the masked Wiener gain to every array, resynthesizes each at
     `Y.n_samples` samples, and fuses by delay-and-sum.  The `spotform`
     command runs this; the sweep runs its two stages, `_fit` and `_extract`,
-    so that rows sharing a fit share it.  A bad tau or iteration count is
-    refused before the fit, as a bad mu or warmup is by the NTF schedule
-    that `_fit` builds first.
+    so that rows sharing a fit share it.  `_fit` checks the arguments.
     """
-    if method == "nmf":
-        check_tau(hyper)
-        RegularizationSchedule(0.0, 0, iterations)
     fit = _fit(Y, method, k, hyper, seed, iterations, warmup)
     return _extract(Y, method, fit, hyper)
 
@@ -339,8 +334,12 @@ def separate(Y: ComplexSpectrogram, method: str, k: int, hyper: float,
 def _fit(Y: ComplexSpectrogram, method: str, k: int, hyper: float,
          seed: int, iterations: int, warmup: int):
     """The seeded stage of `separate`: the NMF model, or the NTF model and
-    its class assignment.  tau is not used; mu weights the NTF penalty."""
+    its class assignment.  mu weights the NTF penalty.  Every fit comes here,
+    so a bad tau, iteration count, warmup or mu is refused before any tensor
+    is built: in `separate`, in a sweep row and in `run_single`."""
     if method == "nmf":
+        check_tau(hyper)
+        RegularizationSchedule(0.0, 0, iterations)
         return fit_nmf(build_concat(Y), k, iterations, seed)
     if method == "ntf":
         schedule = RegularizationSchedule(hyper, warmup, iterations)

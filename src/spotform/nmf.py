@@ -53,7 +53,6 @@ class NmfModel:
 
     T: np.ndarray
     V: np.ndarray
-    seed: int
 
     @property
     def K(self) -> int:
@@ -79,10 +78,9 @@ def update_step(model: NmfModel, C: ConcatMatrix) -> NmfModel:
 
     This is the tensor step on the (1, I, N) view with Z = 1 and mu = 0.
     """
-    step = ntf_update_step(
-        NtfModel(Z=np.ones((1, model.K)), T=model.T, V=model.V, seed=model.seed),
-        PropTensor(C.values[None]), 0.0)
-    return NmfModel(T=step.T, V=step.V, seed=model.seed)
+    step = ntf_update_step(NtfModel(Z=np.ones((1, model.K)), T=model.T,
+                                    V=model.V), PropTensor(C.values[None]), 0.0)
+    return NmfModel(T=step.T, V=step.V)
 
 
 def fit_nmf(C: ConcatMatrix, K: int, iterations: int = 100,
@@ -94,7 +92,7 @@ def fit_nmf(C: ConcatMatrix, K: int, iterations: int = 100,
     model = initial_model(*tensor.values.shape, K, seed)
     for it in range(iterations):
         model = ntf_update_step(model, tensor, 0.0, it)
-    return NmfModel(T=model.T, V=model.V, seed=seed)
+    return NmfModel(T=model.T, V=model.V)
 
 
 def check_tau(tau: float) -> None:

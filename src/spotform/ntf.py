@@ -61,7 +61,6 @@ class NtfModel:
     Z: np.ndarray
     T: np.ndarray
     V: np.ndarray
-    seed: int
 
     @property
     def K(self) -> int:
@@ -172,7 +171,7 @@ def initial_model(A: int, I: int, J: int, K: int, seed: int) -> NtfModel:
     T = rng.uniform(0.0, 1.0, size=(I, K))
     V = rng.uniform(0.0, 1.0, size=(J, K))
     T /= T.sum(axis=0, keepdims=True)
-    return NtfModel(Z=np.full((A, K), 1.0 / A), T=T, V=V, seed=seed)
+    return NtfModel(Z=np.full((A, K), 1.0 / A), T=T, V=V)
 
 
 def update_step(
@@ -214,7 +213,7 @@ def update_step(
     V = V * (_ratio(c, W, V, work).T @ W)
     V = V / np.maximum(Z.sum(axis=0) * T.sum(axis=0), EPS)[None, :]
 
-    out = NtfModel(Z=Z, T=T, V=V, seed=model.seed)
+    out = NtfModel(Z=Z, T=T, V=V)
     _check_finite(out, iteration)
     return out
 

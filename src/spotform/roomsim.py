@@ -156,7 +156,6 @@ class ObservationTensor:
     mixture: np.ndarray
     images: np.ndarray
     sample_rate: int
-    scene: Scene
 
     @property
     def n_samples(self) -> int:
@@ -226,12 +225,6 @@ def _schroeder_t60(h: np.ndarray, fs: int) -> float:
     return -60.0 / slope if slope < 0 else math.inf
 
 
-def _calibration_pair(scene: Scene) -> tuple[np.ndarray, np.ndarray]:
-    mic = scene.arrays[0].mic_positions()[0]
-    src = np.asarray(scene.sources[scene.target_index].position, dtype=float)
-    return mic, src
-
-
 def simulate_rirs(scene: Scene) -> RirSet:
     """Generate image-method RIRs for every (array, mic, source) triple.
 
@@ -256,7 +249,7 @@ def simulate_rirs(scene: Scene) -> RirSet:
                 f"{order} for this room size"
             )
         n_taps = int(math.ceil(fs * (1.2 * scene.t60 + dmax / c))) + 2 * _KERNEL_HALF + 2
-        mic0, src0 = _calibration_pair(scene)
+        mic0, src0 = mics[0][0], srcs[scene.target_index]
 
         def probe(r):
             return _schroeder_t60(
@@ -339,10 +332,8 @@ def render_observations(sources: list[Waveform], rirs: RirSet) -> ObservationTen
     mixture = images[0].copy()
     for image in images[1:]:
         mixture += image
-    return ObservationTensor(
-        mixture=mixture, images=images,
-        sample_rate=rirs.sample_rate, scene=scene,
-    )
+    return ObservationTensor(mixture=mixture, images=images,
+                             sample_rate=rirs.sample_rate)
 
 
 def save_rirs(path, rirs: RirSet) -> None:

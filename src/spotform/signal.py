@@ -173,15 +173,13 @@ def istft(S: ComplexSpectrogram) -> np.ndarray:
     return out.reshape(*lead, -1)[..., pad_head : pad_head + S.n_samples]
 
 
-def normalize_energy(sources: list[Waveform]) -> list[Waveform]:
-    """Rescale each waveform to unit l2 energy."""
-    out = []
-    for src in sources:
-        energy = src.energy
-        if energy <= 0.0:
-            raise ValueError("silent source")
-        out.append(Waveform(src.samples / math.sqrt(energy), src.sample_rate))
-    return out
+def normalize_energy(src: Waveform) -> Waveform:
+    """`src` rescaled to unit l2 energy, as a new waveform; a silent one
+    raises `ValueError("silent source")`."""
+    energy = src.energy
+    if energy <= 0.0:
+        raise ValueError("silent source")
+    return Waveform(src.samples / math.sqrt(energy), src.sample_rate)
 
 
 def resample(x: Waveform, target_rate: int) -> Waveform:
@@ -269,7 +267,8 @@ def read_wav(path) -> Waveform:
     PCM is scaled to [-1, 1) by its full scale (2^15, 2^23 or 2^31).  RIFF
     and RF64 files are read; chunks other than fmt and data are skipped.
     Multichannel files, big-endian (RIFX) files and other sample formats
-    (8 or 64-bit PCM, compressed formats) raise `ValueError`.
+    (8 or 64-bit PCM, compressed formats) raise `ValueError`.  A truncated
+    file yields the whole samples it holds.
     """
     with open(path, "rb") as f:
         magic, _, form = struct.unpack("<4sI4s", f.read(12).ljust(12, b"\0"))
@@ -304,8 +303,9 @@ def read_wav(path) -> Waveform:
         if dtype == "<i3":
             # left-justified into int32, so it scales like 32-bit PCM
             raw = np.fromfile(f, np.uint8, count=size // 3 * 3)
-            wide = np.zeros((raw.size // 3, 4), dtype=np.uint8)
-            wide[:, 1:] = raw.reshape(-1, 3)
+            n = raw.size // 3  # a truncated file may end inside a sample
+            wide = np.zeros((n, 4), dtype=np.uint8)
+            wide[:, 1:] = raw[: 3 * n].reshape(n, 3)
             data = wide.view("<i4")[:, 0]
         else:
             data = np.fromfile(f, dtype, count=size // align)

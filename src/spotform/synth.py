@@ -37,7 +37,8 @@ def harmonic_voice(
     seed: int,
     f0: float = 140.0,
 ) -> Waveform:
-    """One voice-like source: unit energy, silent tail of ~30 ms.
+    """One voice-like source, round(duration_s * sample_rate) samples of unit
+    energy: 10 ms fades and a ~30 ms silent tail, shorter on short voices.
 
     The formants move slowly, so the short-time spectrum keeps changing and
     a low-rank factorization genuinely needs many bases to track it.
@@ -84,19 +85,24 @@ def harmonic_voice(
     edge = min(int(0.01 * sample_rate), n // 4)
     ramp = np.linspace(0.0, 1.0, edge)
     x[:edge] *= ramp
-    x[-edge:] *= ramp[::-1]
+    x[n - edge:] *= ramp[::-1]
     tail = min(int(0.03 * sample_rate), n // 8)
     x[n - tail:] = 0.0
-    return normalize_energy([Waveform(x, sample_rate)])[0]
+    return normalize_energy(Waveform(x, sample_rate))
 
 
-def check_voice_args(n_sources: int, duration_s: float, seed: int) -> None:
-    """Refuse the arguments `default_voices` cannot make voices from."""
+def check_voice_args(n_sources: int, duration_s: float, sample_rate: int,
+                     seed: int) -> None:
+    """Refuse the arguments `default_voices` cannot make voices from, such
+    as a duration that rounds to no sample at `sample_rate`."""
     if n_sources < 1:
         raise ValueError("need at least one source")
     if not (np.isfinite(duration_s) and duration_s > 0):
         raise ValueError(f"duration must be a finite number of seconds > 0, "
                          f"got {duration_s}")
+    if duration_s * sample_rate <= 0.5:  # `round` gives 0 samples
+        raise ValueError(f"duration {duration_s} s rounds to no sample "
+                         f"at {sample_rate} Hz")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
 
@@ -105,7 +111,7 @@ def default_voices(
     n_sources: int, duration_s: float, sample_rate: int, seed: int = 0
 ) -> list[Waveform]:
     """Distinct-pitch voices; index 0 is meant as the target."""
-    check_voice_args(n_sources, duration_s, seed)
+    check_voice_args(n_sources, duration_s, sample_rate, seed)
     return [
         harmonic_voice(duration_s, sample_rate, seed + 17 * i,
                        f0=DEFAULT_F0S[i % len(DEFAULT_F0S)])

@@ -76,7 +76,7 @@ def test_a01_cost_nonincreasing_on_random_instances():
         T = rng.uniform(0, 1, (I, K))
         T /= T.sum(0)
         model = NtfModel(Z=np.full((A, K), 1.0 / A), T=T,
-                         V=rng.uniform(0, 1, (J, K)), seed=0)
+                         V=rng.uniform(0, 1, (J, K)))
         prev = evaluate_cost(model, C, mu)
         for _ in range(20):
             model = ntf_step(model, C, mu)

@@ -356,6 +356,22 @@ class TestRunSingle:
         assert np.isnan(row.sdr_filtered_db)
         assert paths == []
 
+    @pytest.mark.parametrize("tau", [float("nan"), -1.0, float("inf")])
+    def test_bad_tau_fails_the_row_before_the_fit(self, small_cfg, state,
+                                                  tmp_path, monkeypatch, tau):
+        # the sweep's and run_single's path checks tau as `separate` does,
+        # before a whole NMF fit is spent on a row that cannot score
+        calls = []
+        monkeypatch.setattr(harness, "fit_nmf",
+                            lambda *args: calls.append(args))
+        cfg = replace(small_cfg, out_dir=str(tmp_path))
+        paths, row = run_single(cfg, "nmf", 4, tau, 0, state=state)
+        assert calls == []
+        assert row.status == "failed"
+        assert row.reason == (
+            f"ValueError: tau must be finite and nonnegative, got {tau}")
+        assert paths == []
+
 
 class TestSeparate:
     @pytest.mark.parametrize("n_arrays", [2, 3])
@@ -1070,7 +1086,9 @@ class TestCli:
         (["--duration", "0"],
          "duration must be a finite number of seconds > 0, got 0.0"),
         (["--seed", "-1"], "seed must be >= 0, got -1"),
-    ], ids=["duration-0", "seed-negative"])
+        (["--duration", "0.00001"],
+         "duration 1e-05 s rounds to no sample at 16000 Hz"),
+    ], ids=["duration-0", "seed-negative", "duration-under-a-sample"])
     def test_simulate_checks_voice_arguments_before_simulating(
             self, tmp_path, monkeypatch, argv, message):
         # a bad --duration or --seed is refused before the RIRs, which take
@@ -1173,6 +1191,23 @@ class TestCli:
                   str(tmp_path / "missing_ref.wav"), "--taps", str(taps)])
         assert str(exc.value.code) == (
             f"spotform: --taps must be >= 1, got {taps}")
+
+    @pytest.mark.filterwarnings("default::UserWarning")
+    @pytest.mark.parametrize("command", ["spotform", "eval"])
+    def test_size_too_large_to_allocate_ends_with_message(
+            self, sources, tmp_path, command):
+        # each size asks for more than any address space holds (about
+        # 1.8 EiB and 0.7 EiB), so the allocation fails before any is made
+        out = tmp_path / "out"
+        argv = {"spotform": ["spotform", sources[0], sources[1], "--method",
+                             "ntf", "--hyper", "1", "--k", str(10**15),
+                             "--out", str(out)],
+                "eval": ["eval", sources[0], sources[1],
+                         "--taps", str(10**17)]}[command]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert str(exc.value.code).startswith("spotform: Unable to allocate")
+        assert not out.exists()
 
     def test_spotform_does_not_import_scipy_signal(self, sources, tmp_path):
         # importing scipy costs most of a short run's time and `spotform`

@@ -110,7 +110,7 @@ class TestFitNmf:
         rng = np.random.default_rng(4)
         C = ConcatMatrix(rng.uniform(0, 1, (12, 20)), 2, 10)
         T = rng.uniform(0, 1, (12, 3))
-        model = NmfModel(T / T.sum(axis=0), rng.uniform(0, 1, (20, 3)), 1)
+        model = NmfModel(T / T.sum(axis=0), rng.uniform(0, 1, (20, 3)))
         cost = []
         for _ in range(100):
             model = update_step(model, C)
@@ -124,7 +124,7 @@ class TestFitNmf:
         T = rng.uniform(0.1, 1, (3, 2))
         T /= T.sum(0)
         V = rng.uniform(0.1, 1, (4, 2))
-        stepped = update_step(NmfModel(T.copy(), V.copy(), 0), ConcatMatrix(c, 1, 4))
+        stepped = update_step(NmfModel(T.copy(), V.copy()), ConcatMatrix(c, 1, 4))
         T_ref, V_ref = brute_force_step(T, V, c)
         assert_allclose(stepped.T, T_ref, atol=1e-12)
         assert_allclose(stepped.V, V_ref, atol=1e-12)
@@ -157,7 +157,7 @@ class TestThresholdMask:
     def _model(self, V):
         K = V.shape[1]
         T = np.full((2, K), 0.5)
-        return NmfModel(T, V, 0)
+        return NmfModel(T, V)
 
     def test_tau_zero_all_positive(self):
         rng = np.random.default_rng(8)
@@ -201,9 +201,8 @@ class TestNmfWiener:
     def test_all_ones_mask_is_identity(self):
         rng = np.random.default_rng(10)
         Y = random_bf_output(rng, I=6, J=4, A=2)
-        model = NmfModel(
-            rng.uniform(0.1, 1, (6, 2)), rng.uniform(0.1, 1, (8, 2)), 0
-        )
+        model = NmfModel(rng.uniform(0.1, 1, (6, 2)),
+                         rng.uniform(0.1, 1, (8, 2)))
         out = nmf_wiener(model, FrameMask(np.ones((4, 2), dtype=np.int8)), Y)
         for a in range(2):
             assert np.array_equal(out.values[a], Y.values[a])
@@ -211,9 +210,8 @@ class TestNmfWiener:
     def test_all_zero_mask_silences(self):
         rng = np.random.default_rng(11)
         Y = random_bf_output(rng, I=6, J=4, A=2)
-        model = NmfModel(
-            rng.uniform(0.1, 1, (6, 2)), rng.uniform(0.1, 1, (8, 2)), 0
-        )
+        model = NmfModel(rng.uniform(0.1, 1, (6, 2)),
+                         rng.uniform(0.1, 1, (8, 2)))
         with pytest.warns(UserWarning, match="no basis kept"):
             out = nmf_wiener(model, FrameMask(np.zeros((4, 2), dtype=np.int8)),
                              Y)
@@ -227,7 +225,7 @@ class TestNmfWiener:
         T = np.tile([[0.4, 0.6]], (3, 1)) / 3.0
         V = np.array([[0.5, 0.25]])
         mask = FrameMask(np.array([[1, 0]], dtype=np.int8))
-        out = nmf_wiener(NmfModel(T, V, 0), mask, Y)
+        out = nmf_wiener(NmfModel(T, V), mask, Y)
         num = (0.4 / 3 * 1 * 0.5) ** 2
         den = (0.4 / 3 * 0.5) ** 2 + (0.6 / 3 * 0.25) ** 2
         assert abs(out.values[0, 0, 0] - (num / den) * 2.0) < 1e-12

@@ -56,7 +56,7 @@ def random_model(rng, A=2, I=4, J=3, K=3):
     T = rng.uniform(0.1, 1.0, size=(I, K))
     T /= T.sum(axis=0, keepdims=True)
     V = rng.uniform(0.1, 2.0, size=(J, K))
-    return NtfModel(Z=Z, T=T, V=V, seed=0)
+    return NtfModel(Z=Z, T=T, V=V)
 
 
 def gkl_scalar(b, a):
@@ -145,7 +145,7 @@ def brute_force_step(model, c, P, mu):
                 for i in range(I)
             )
             V_new[j, k] = V[j, k] * num / max(sum(Z[:, k]) * sum(T[:, k]), EPS)
-    return NtfModel(Z=Z, T=T, V=V_new, seed=model.seed)
+    return NtfModel(Z=Z, T=T, V=V_new)
 
 
 class TestBuildPropTensor:
@@ -300,7 +300,7 @@ class TestUpdateStep:
         T = rng.uniform(0.1, 1.0, size=(5, 3))
         T /= T.sum(axis=0, keepdims=True)
         V = rng.uniform(0.5, 1.5, size=(4, 3))
-        model = NtfModel(Z=P.copy(), T=T, V=V, seed=0)
+        model = NtfModel(Z=P.copy(), T=T, V=V)
         C = PropTensor(model.compose())
         out = update_step(model, C, mu=37.5)
         assert_allclose(out.Z, model.Z, rtol=0, atol=1e-12)
@@ -344,7 +344,7 @@ class TestEvaluateCost:
         T = rng.uniform(0.1, 1.0, size=(4, 3))
         T /= T.sum(axis=0, keepdims=True)
         V = rng.uniform(0.5, 1.5, size=(3, 3))
-        model = NtfModel(Z=P.copy(), T=T, V=V, seed=0)
+        model = NtfModel(Z=P.copy(), T=T, V=V)
         C = PropTensor(model.compose())
         assert abs(evaluate_cost(model, C, mu=123.0)) < 1e-9
 
@@ -367,7 +367,6 @@ class TestEvaluateCost:
             Z=model.Z * np.array([1.0, alpha, 1.0]),
             T=model.T,
             V=model.V / np.array([1.0, alpha, 1.0]),
-            seed=0,
         )
         assert_allclose(scaled.compose(), model.compose(), rtol=1e-10)
 
@@ -415,7 +414,7 @@ class TestFitNtf:
         T = rng.uniform(0.0, 1.0, size=(8, 3))
         T /= T.sum(axis=0, keepdims=True)
         V = rng.uniform(0.5, 2.0, size=(12, 3))
-        planted = NtfModel(Z=P.copy(), T=T, V=V, seed=0)
+        planted = NtfModel(Z=P.copy(), T=T, V=V)
         C = PropTensor(planted.compose())
         sched = RegularizationSchedule(mu=1000.0, warmup_iterations=50,
                                        total_iterations=100)
@@ -453,7 +452,6 @@ class TestNtfWiener:
             Z=np.array([[1.0, 1.0]]),
             T=np.tile([[0.4, 0.6]], (3, 1)) / 3.0,
             V=np.array([[0.5, 0.25]]),
-            seed=0,
         )
         assign = Assignment(b=np.array([0, 1]), h=np.array([1, 0]))
         out = ntf_wiener(model, assign, Y)
@@ -554,7 +552,7 @@ def test_trace_matches_cost_of_each_iterate(A, mu):
         T = draw.uniform(0.0, 1.0, size=(I, K))
         V = draw.uniform(0.0, 1.0, size=(J, K))
         return NtfModel(Z=np.full((A, K), 1.0 / A), T=T / T.sum(axis=0),
-                        V=V, seed=seed)
+                        V=V)
 
     scalar = seeded_start(A, I, J)
     for w in [0.0] * 4 + [mu] * 6:
@@ -637,7 +635,7 @@ class TestMaskedWiener:
         H = (rng.uniform(size=(J, K)) < 0.5).astype(np.int8)
         yield ("nmf", Y, T, V.reshape(A, J, K),
                np.broadcast_to(H, (A, J, K)),
-               lambda keep: nmf_wiener(NmfModel(T, V, 0),
+               lambda keep: nmf_wiener(NmfModel(T, V),
                                        FrameMask(keep[0].astype(np.int8)), Y))
         # NTF: allocations times activations, a per-basis mask
         model = random_model(rng, A=A, I=I, J=J, K=K)

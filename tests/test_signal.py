@@ -216,24 +216,23 @@ class TestNormalizeEnergy:
     def test_unit_energy(self):
         rng = np.random.default_rng(0)
         srcs = [Waveform(3.0 * rng.standard_normal(1000), 16000) for _ in range(3)]
-        out = normalize_energy(srcs)
-        for y in out:
+        for y in map(normalize_energy, srcs):
             assert abs(y.energy - 1.0) < 1e-12
 
     def test_idempotent(self):
         rng = np.random.default_rng(1)
-        x = [Waveform(rng.standard_normal(500), 16000)]
+        x = Waveform(rng.standard_normal(500), 16000)
         once = normalize_energy(x)
         twice = normalize_energy(once)
-        assert_allclose(twice[0].samples, once[0].samples, atol=1e-14)
+        assert_allclose(twice.samples, once.samples, atol=1e-14)
 
     def test_silent_source_rejected(self):
         with pytest.raises(ValueError, match="silent source"):
-            normalize_energy([Waveform(np.zeros(100), 16000)])
+            normalize_energy(Waveform(np.zeros(100), 16000))
 
     def test_originals_untouched(self):
         x = Waveform(2.0 * np.ones(10), 16000)
-        normalize_energy([x])
+        normalize_energy(x)
         assert x.samples[0] == 2.0
 
 
@@ -360,6 +359,21 @@ class TestWavIo:
         scipy.io.wavfile.write(p, 16000, np.zeros((100, 2), dtype=np.float32))
         with pytest.raises(ValueError, match="multichannel"):
             read_wav(p)
+
+    @pytest.mark.parametrize("align", [2, 3, 4])
+    def test_truncated_file_reads_the_whole_samples_present(self, tmp_path,
+                                                            align):
+        # the data chunk declares 3000 bytes, the file ends 100 bytes in;
+        # 100 bytes hold 50, 33 or 25 whole samples
+        data = np.random.default_rng(align).integers(0, 256, 3000,
+                                                     dtype=np.uint8)
+        full, cut = tmp_path / "full.wav", tmp_path / "cut.wav"
+        full.write_bytes(_riff(_fmt(1, 8 * align, align), data.tobytes()))
+        cut.write_bytes(full.read_bytes()[:-2900])
+        got = read_wav(cut)
+        assert len(got) == 100 // align
+        np.testing.assert_array_equal(got.samples,
+                                      read_wav(full).samples[:100 // align])
 
 
 # bytes 4..15 of the KSDATAFORMAT_SUBTYPE GUIDs
